@@ -13,7 +13,8 @@
      exactly at the committed-bump count;
    - the pre-PR fingerprint: a single-session (legacy-mode) run's trace
      is byte-identical to the trace the tree produced before concurrent
-     admission existed, pinned by digest. *)
+     admission existed, pinned by digest; the four coherency paths
+     (encoding x delivery) are pinned the same way. *)
 
 open Srpc_core
 open Srpc_simnet
@@ -431,6 +432,54 @@ let test_single_session_fingerprint () =
   Alcotest.(check string) "single-session traces byte-identical to pre-PR"
     pre_pr_fingerprint got
 
+(* The four coherency paths — full or delta encoding, direct or staged
+   (fault-plan) delivery — each pinned by the digest of 40 seeded
+   depth-40 traces. Strategy 0 is full encoding, strategy 8 delta. *)
+let coherency_pins =
+  [
+    (0, false, "1d5b49d3d59d648440ba2d8c5668248a");
+    (0, true, "52c3380211403a83b6c0f877cbaff725");
+    (8, false, "1a0a9d6e1da63ac07fa8316203b7f5de");
+    (8, true, "5b192e1b0d3cbd49680cf8f33ae7ae7c");
+  ]
+
+(* frames the pins must have exercised, so they cannot pass vacuously *)
+let pinned_frames =
+  [
+    "write-back"; "wb-stage"; "wb-commit"; "wb-delta+inv"; "wb-stage-delta";
+    "call-d"; "return-d";
+  ]
+
+let test_coherency_fingerprints () =
+  let seen = Hashtbl.create 32 in
+  List.iter
+    (fun (strategy, faulty, want) ->
+      let buf = Buffer.create 65536 in
+      for seed = 0 to 39 do
+        let fault =
+          if faulty then Some { Script.fseed = seed; drop = 0.01; dup = 0.005 }
+          else None
+        in
+        let script = Gen.script ~seed ~depth:40 ~fault in
+        let plan = Script.resolve { script with Script.strategy } in
+        let out = Interp.run plan in
+        List.iter
+          (fun (e : Trace.event) -> Hashtbl.replace seen e.Trace.label ())
+          (Trace.events out.Interp.trace);
+        Buffer.add_string buf (Format.asprintf "%a" Trace.pp out.Interp.trace)
+      done;
+      let got = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+      Alcotest.(check string)
+        (Printf.sprintf "strategy %d, faults %b: traces byte-identical"
+           strategy faulty)
+        want got)
+    coherency_pins;
+  List.iter
+    (fun label ->
+      Alcotest.(check bool) (label ^ " frames exercised") true
+        (Hashtbl.mem seen label))
+    pinned_frames
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "traffic"
@@ -482,5 +531,6 @@ let () =
         [
           tc "single-session trace fingerprint" `Quick
             test_single_session_fingerprint;
+          tc "coherency paths fingerprint" `Quick test_coherency_fingerprints;
         ] );
     ]

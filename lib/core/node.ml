@@ -52,14 +52,10 @@ type t = {
       (** per session, write-backs delivered by [Wb_stage] /
           [Wb_stage_delta] and not yet applied; [Wb_commit] applies and
           drops them, in delivery order *)
-  directory : (int, string Space_id.Table.t) Hashtbl.t;
-      (** copy directory (delta coherency): own-heap datum address →
-          per-peer encoding that peer's cached copy agrees with. It is
-          both the base image a peer's byte-range delta patches against
-          and the record of who holds copies of our data. Maintained
-          regardless of the strategy flag so mixed clusters stay
-          coherent; cleared at close, on [Invalidate] and on abort /
-          [hard_reset]. *)
+  directory : Directory.t;
+      (** maintained regardless of the strategy flag so mixed clusters
+          stay coherent; cleared at close, on [Invalidate] and on abort /
+          [hard_reset] *)
   mutable state_session : int option;
       (** the session whose cached state this node currently holds; a
           frame from a newer session purges leftovers from one whose
@@ -73,10 +69,6 @@ type t = {
   mutable focused : int option;
       (** the session whose state currently occupies the swappable
           fields; [None] outside concurrent mode *)
-  dir_owner : (int, int) Hashtbl.t;
-      (** concurrent admission: datum address -> session that recorded
-          its copy-directory rows, so a session-scoped purge can drop
-          exactly its rows. Unused in single-open mode. *)
 }
 
 and proc = t -> Value.t list -> Value.t list
@@ -207,26 +199,18 @@ let encode_item t ~(lp : Long_pointer.t) ~addr : Wire.item =
 
 let delta_on t = t.strategy.Strategy.delta_coherency
 
-let dir_table t addr =
-  match Hashtbl.find_opt t.directory addr with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Space_id.Table.create 4 in
-    Hashtbl.add t.directory addr tbl;
-    tbl
+(* Concurrent admission: the focused session's id, which owns the
+   directory rows it records and filters the session-scoped dirty set
+   and flush. [None] in single-open mode, where the cache-wide behavior
+   is unchanged. *)
+let focused_pin t =
+  if Session.concurrent_enabled t.session then
+    Option.map (fun (i : Session.info) -> i.Session.id) (Session.current t.session)
+  else None
 
 (* [peer]'s copy of our datum at [addr] is now byte-for-byte [image]. *)
 let dir_record t ~peer ~addr image =
-  (if Session.concurrent_enabled t.session then
-     match Session.current t.session with
-     | Some info -> Hashtbl.replace t.dir_owner addr info.Session.id
-     | None -> ());
-  Space_id.Table.replace (dir_table t addr) peer image
-
-let dir_base t ~peer ~addr =
-  match Hashtbl.find_opt t.directory addr with
-  | None -> None
-  | Some tbl -> Space_id.Table.find_opt tbl peer
+  Directory.record t.directory ?owner:(focused_pin t) ~peer ~addr image
 
 (* [dst] received data copies this session (items installed, or deltas
    patched — either can swizzle foreign pointers into fresh cache
@@ -324,15 +308,6 @@ let install_item t ~src ~kind (item : Wire.item) =
     end
   end
 
-(* Apply a byte-range delta from [src] to one of our own data. The base
-   is the per-(datum, src) image in the copy directory — NOT our current
-   encoding: our own heap is unprotected, so we may have drifted since
-   shipping, and patching [src]'s ranges onto the image [src] holds
-   reconstructs exactly the full item [src] would have sent. The result
-   is therefore bit-identical to the full-write-back protocol. Senders
-   only emit a delta while their shadow is fresh, which implies the
-   directory holds the matching base; a miss here means a protocol bug
-   or a crash-purged directory, and must fail loudly. *)
 let patch_ranges (d : Wire.delta) base =
   let buf = Bytes.of_string base in
   List.iter
@@ -355,7 +330,7 @@ let patch_ranges (d : Wire.delta) base =
 let apply_home_delta t ~src (d : Wire.delta) =
   let lp = d.Wire.dlp in
   let base =
-    match dir_base t ~peer:src ~addr:lp.Long_pointer.addr with
+    match Directory.base t.directory ~peer:src ~addr:lp.Long_pointer.addr with
     | Some base -> base
     | None ->
       raise
@@ -568,11 +543,6 @@ let faulty t = Option.is_some (Transport.fault_plan t.transport)
    tell a dead participant apart from an ordinary remote exception. *)
 let unreachable_prefix = "peer-unreachable: "
 
-let is_unreachable_msg msg =
-  String.length msg >= String.length unreachable_prefix
-  && String.equal (String.sub msg 0 (String.length unreachable_prefix))
-       unreachable_prefix
-
 (* Forget everything tied to the current (or a stale) session: cached
    foreign data, shipped/traveling bookkeeping, staged write-backs and
    unflushed batched operations. Used by session abort and by the lazy
@@ -583,7 +553,7 @@ let hard_reset t =
   Space_id.Table.reset t.shipped;
   Long_pointer.Table.reset t.traveling;
   Hashtbl.reset t.staged;
-  Hashtbl.reset t.directory;
+  Directory.reset t.directory;
   t.pending_allocs <- [];
   t.pending_frees <- [];
   t.state_session <- None
@@ -656,53 +626,55 @@ let purge_session t sid =
   t.pending_allocs <- [];
   t.pending_frees <- [];
   Hashtbl.remove t.staged sid;
-  let owned =
-    Hashtbl.fold
-      (fun addr owner acc -> if owner = sid then addr :: acc else acc)
-      t.dir_owner []
-  in
-  List.iter
-    (fun addr ->
-      Hashtbl.remove t.directory addr;
-      Hashtbl.remove t.dir_owner addr)
-    owned;
+  Directory.purge t.directory ~owner:sid;
   Hashtbl.remove t.sstash sid;
   t.focused <- None
 
-let request t ~dst req =
-  let dst_ep = Space_id.to_string dst in
-  match Transport.fault_plan t.transport with
-  | None ->
-    let reply =
-      Transport.rpc t.transport ~src:(endpoint t) ~dst:dst_ep
-        (Wire.encode_request ~reg:t.registry req)
-    in
-    Wire.decode_response ~reg:t.registry reply
-  | Some _ ->
-    t.seq <- t.seq + 1;
-    let frame = Wire.encode_framed ~reg:t.registry ~seq:t.seq req in
-    let stats = Transport.stats t.transport in
-    let clock = Transport.clock t.transport in
-    let rec attempt n backoff =
-      match Transport.rpc t.transport ~src:(endpoint t) ~dst:dst_ep frame with
-      | reply -> Wire.decode_response ~reg:t.registry reply
-      | exception Transport.Peer_crashed ep -> raise (Peer_unreachable ep)
-      | exception Transport.Timeout _ ->
-        if n >= t.retry.max_attempts then raise (Peer_unreachable dst_ep)
-        else begin
-          Stats.incr_retries stats;
-          Clock.advance clock backoff;
-          attempt (n + 1) (Float.min (backoff *. 2.0) t.retry.max_backoff)
-        end
-    in
-    attempt 1 t.retry.base_backoff
+(* The one reply classifier: [pick] selects the reply [req] expects. An
+   [Error] becomes a typed exception — [Peer_unreachable] when it relays
+   a dead participant from deeper in the call chain, [Remote_error]
+   otherwise — and any other reply is a protocol error. *)
+let classify req pick (resp : Wire.response) =
+  match (pick resp, resp) with
+  | Some v, _ -> v
+  | None, Wire.Error msg ->
+    if String.starts_with ~prefix:unreachable_prefix msg then
+      let n = String.length unreachable_prefix in
+      raise (Peer_unreachable (String.sub msg n (String.length msg - n)))
+    else raise (Remote_error msg)
+  | None, _ ->
+    failwith ("protocol error: bad reply to " ^ Wire.request_label req)
 
-let expect_ack = function
-  | Wire.Ack -> ()
-  | Wire.Error msg -> raise (Remote_error msg)
-  | Wire.Return _ | Wire.Fetched _ | Wire.Allocated _ | Wire.Return_d _
-  | Wire.Hb_ack | Wire.Offload_return _ ->
-    failwith "protocol error: expected Ack"
+let ack = function Wire.Ack -> Some () | _ -> None
+
+let request t ~dst req pick =
+  let dst_ep = Space_id.to_string dst in
+  let send frame =
+    Transport.rpc t.transport ~src:(endpoint t) ~dst:dst_ep frame
+  in
+  let reply =
+    match Transport.fault_plan t.transport with
+    | None -> send (Wire.encode_request ~reg:t.registry req)
+    | Some _ ->
+      t.seq <- t.seq + 1;
+      let frame = Wire.encode_framed ~reg:t.registry ~seq:t.seq req in
+      let stats = Transport.stats t.transport in
+      let clock = Transport.clock t.transport in
+      let rec attempt n backoff =
+        match send frame with
+        | reply -> reply
+        | exception Transport.Peer_crashed ep -> raise (Peer_unreachable ep)
+        | exception Transport.Timeout _ ->
+          if n >= t.retry.max_attempts then raise (Peer_unreachable dst_ep)
+          else begin
+            Stats.incr_retries stats;
+            Clock.advance clock backoff;
+            attempt (n + 1) (Float.min (backoff *. 2.0) t.retry.max_backoff)
+          end
+      in
+      attempt 1 t.retry.base_backoff
+  in
+  classify req pick (Wire.decode_response ~reg:t.registry reply)
 
 (* Crash-safe session abort (ground only): discard the modified data set
    instead of writing it back, tell every reachable participant to drop
@@ -719,7 +691,7 @@ let abort_session t ~reason : 'a =
   let others = Space_id.Set.remove t.id info.Session.participants in
   Space_id.Set.iter
     (fun peer ->
-      try expect_ack (request t ~dst:peer (Wire.Abort { session = sid }))
+      try request t ~dst:peer (Wire.Abort { session = sid }) ack
       with Peer_unreachable _ ->
         (* the dead peer purges its own leftovers on next contact *)
         ())
@@ -730,18 +702,6 @@ let abort_session t ~reason : 'a =
   Transport.mark t.transport ~src:(endpoint t) (Trace.Session_end sid);
   raise (Session.Session_aborted { session = sid; reason })
 
-let peer_failure t exn : 'a =
-  match Session.current t.session with
-  | Some info when Space_id.equal info.Session.ground t.id ->
-    let reason =
-      match exn with
-      | Peer_unreachable ep -> unreachable_prefix ^ ep
-      | Remote_error msg -> msg
-      | e -> Printexc.to_string e
-    in
-    abort_session t ~reason
-  | Some _ | None -> raise exn
-
 (* Wrap a protocol step that may discover a dead participant. On the
    ground thread that is a session abort; elsewhere the failure
    propagates (and travels back to the ground as a marked remote
@@ -750,8 +710,11 @@ let ground_guard t f =
   if not (faulty t) then f ()
   else
     try f () with
-    | Peer_unreachable _ as e -> peer_failure t e
-    | Remote_error msg as e when is_unreachable_msg msg -> peer_failure t e
+    | Peer_unreachable ep as e -> (
+      match Session.current t.session with
+      | Some info when Space_id.equal info.Session.ground t.id ->
+        abort_session t ~reason:(unreachable_prefix ^ ep)
+      | Some _ | None -> raise e)
 
 let flush_remote_ops t =
   if t.pending_allocs <> [] then begin
@@ -766,24 +729,26 @@ let flush_remote_ops t =
             (fun pa -> (pa.prov.Long_pointer.addr, pa.prov.Long_pointer.ty))
             pas
         in
-        match request t ~dst:home (Wire.Alloc_batch { session = session_id t; reqs })
-        with
-        | Wire.Allocated { addrs } ->
-          List.iter
-            (fun pa ->
-              match List.assoc_opt pa.prov.Long_pointer.addr addrs with
-              | Some real ->
-                let lp =
-                  Long_pointer.make ~origin:home ~addr:real
-                    ~ty:pa.prov.Long_pointer.ty
-                in
-                Cache.rebind t.cache pa.pa_entry lp
-              | None -> failwith "protocol error: allocation not answered")
-            pas
-        | Wire.Error msg -> raise (Remote_error msg)
-        | Wire.Return _ | Wire.Fetched _ | Wire.Ack | Wire.Return_d _
-        | Wire.Hb_ack | Wire.Offload_return _ ->
-          failwith "protocol error: expected Allocated")
+        let addrs =
+          request t ~dst:home
+            (Wire.Alloc_batch { session = session_id t; reqs })
+            (function
+              | Wire.Allocated { addrs }
+                when List.for_all
+                       (fun pa -> List.mem_assoc pa.prov.Long_pointer.addr addrs)
+                       pas ->
+                Some addrs
+              | _ -> None)
+        in
+        List.iter
+          (fun pa ->
+            let lp =
+              Long_pointer.make ~origin:home
+                ~addr:(List.assoc pa.prov.Long_pointer.addr addrs)
+                ~ty:pa.prov.Long_pointer.ty
+            in
+            Cache.rebind t.cache pa.pa_entry lp)
+          pas)
       batches
   end;
   if t.pending_frees <> [] then begin
@@ -791,8 +756,7 @@ let flush_remote_ops t =
     t.pending_frees <- [];
     List.iter
       (fun (home, lps) ->
-        expect_ack
-          (request t ~dst:home (Wire.Free_batch { session = session_id t; lps })))
+        request t ~dst:home (Wire.Free_batch { session = session_id t; lps }) ack)
       batches
   end
 
@@ -813,16 +777,8 @@ let chaos_lose_first_writeback = ref false
    checker catches stale reads; never set it in production code. *)
 let chaos_reorder_invalidate = ref false
 
-(* Concurrent admission: the focused session's id, as the filter for the
-   session-scoped dirty set and flush. [None] in single-open mode, where
-   the cache-wide behavior is unchanged. *)
-let focused_pin t =
-  if Session.concurrent_enabled t.session then
-    Option.map (fun (i : Session.info) -> i.Session.id) (Session.current t.session)
-  else None
-
 (* Drain the dirty entries, charging the twin-diff CPU cost and applying
-   the chaos defect switch — shared by the plain and delta collectors. *)
+   the chaos defect switch. *)
 let take_dirty_entries t =
   let entries = Cache.dirty_entries ?pinned_by:(focused_pin t) t.cache in
   if t.strategy.Strategy.grain = Strategy.Twin_diff then begin
@@ -834,41 +790,30 @@ let take_dirty_entries t =
   | _ :: rest when !chaos_lose_first_writeback -> rest
   | entries -> entries
 
-let collect_writebacks t =
-  let stats = Transport.stats t.transport in
-  let cached_items =
-    List.map
-      (fun (e : Cache.entry) -> encode_item t ~lp:e.lp ~addr:e.local_addr)
-      (take_dirty_entries t)
-  in
-  (* Own data modified elsewhere this session keeps traveling,
-     re-encoded from the (authoritative) original. *)
-  let traveling_items =
-    Long_pointer.Table.fold
-      (fun lp () acc -> encode_item t ~lp ~addr:lp.Long_pointer.addr :: acc)
-      t.traveling []
-  in
-  let items = cached_items @ traveling_items in
-  Stats.add_writebacks stats (List.length items);
-  List.iter
-    (fun (i : Wire.item) ->
-      Stats.add_writeback_bytes stats (item_wire_size (String.length i.data)))
-    items;
-  Cache.clean_after_flush ?pinned_by:(focused_pin t) t.cache;
-  items
+(* What one side ships to another, as a [Call]/[Return] body or one
+   origin's share of a close. Under the full encoding [deltas] and
+   [frees] stay empty. *)
+type payload = {
+  full : Wire.item list;
+  deltas : Wire.delta list;
+  frees : Long_pointer.t list;
+}
 
-(* Encode one dirty entry for transfer to its home: [Some delta] when
-   the shadow is usable as a base and the ranges beat the full item,
-   [None] to fall back to the full item. The fallback cases — stale or
-   missing shadow, length change (a pointer flipped nullness), or a
-   delta that would not be smaller — are exactly the ones the stats
-   counter reports. *)
-let delta_for t (e : Cache.entry) (item : Wire.item) =
+let no_payload = { full = []; deltas = []; frees = [] }
+
+(* [Some delta] of [item] against [base] when the ranges beat the full
+   item, [None] to fall back to it. The fallback cases — a length change
+   (a pointer flipped nullness) or a delta that would not be smaller —
+   are counted. *)
+let delta_against t ~base (item : Wire.item) =
   let stats = Transport.stats t.transport in
   let data = item.Wire.data in
   let full_size = item_wire_size (String.length data) in
-  match Cache.shadow_base e with
-  | Some base when String.length base = String.length data ->
+  if String.length base <> String.length data then begin
+    Stats.incr_full_fallbacks stats;
+    None
+  end
+  else begin
     (* the byte scan is CPU-side, like a twin diff *)
     Transport.charge_cpu_bytes t.transport (String.length data);
     let ranges = Cache.diff_ranges ~base ~now:data in
@@ -878,131 +823,158 @@ let delta_for t (e : Cache.entry) (item : Wire.item) =
       Stats.add_writeback_bytes stats dsize;
       Some
         {
-          Wire.dlp = e.Cache.lp;
+          Wire.dlp = item.Wire.lp;
           base_len = String.length base;
-          ranges =
-            List.map (fun (off, bytes) -> { Wire.off; bytes }) ranges;
+          ranges = List.map (fun (off, bytes) -> { Wire.off; bytes }) ranges;
         }
     end
     else begin
       Stats.incr_full_fallbacks stats;
       None
     end
-  | Some _ | None ->
-    Stats.incr_full_fallbacks stats;
-    None
+  end
 
-(* Delta-mode modified data set for a control transfer to [dst]: entries
-   homed at [dst] ship as byte-range deltas when possible, everything
-   else (third-party data continuing to snowball, fallbacks, traveling
-   own data) ships as full items. *)
-let collect_writebacks_delta t ~dst =
-  let stats = Transport.stats t.transport in
-  let full = ref [] in
-  let deltas = ref [] in
-  List.iter
-    (fun (e : Cache.entry) ->
-      let item = encode_item t ~lp:e.Cache.lp ~addr:e.Cache.local_addr in
-      let ship_full () =
-        Stats.add_writeback_bytes stats
-          (item_wire_size (String.length item.Wire.data));
-        full := item :: !full
+(* A payload under construction, lists reversed. *)
+type draft = {
+  mutable rfull : Wire.item list;
+  mutable rdeltas : Wire.delta list;
+}
+
+let draft () = { rfull = []; rdeltas = [] }
+
+let drafted dr ~frees =
+  { full = List.rev dr.rfull; deltas = List.rev dr.rdeltas; frees }
+
+let ship t dr (item : Wire.item) = function
+  | Some d -> dr.rdeltas <- d :: dr.rdeltas
+  | None ->
+    Stats.add_writeback_bytes (Transport.stats t.transport)
+      (item_wire_size (String.length item.Wire.data));
+    dr.rfull <- item :: dr.rfull
+
+(* A dirty cache entry bound for [dst]. Only its home can patch a delta,
+   against our shadow of the encoding the home last saw (a missing
+   shadow counts as a fallback); either way the home then holds this
+   encoding. *)
+let ship_entry t ~delta ~dst dr (e : Cache.entry) =
+  let item = encode_item t ~lp:e.Cache.lp ~addr:e.Cache.local_addr in
+  if delta && Space_id.equal e.Cache.lp.Long_pointer.origin dst then begin
+    let d =
+      match Cache.shadow_base e with
+      | Some base -> delta_against t ~base item
+      | None ->
+        Stats.incr_full_fallbacks (Transport.stats t.transport);
+        None
+    in
+    ship t dr item d;
+    Cache.sync_shadow e item.Wire.data
+  end
+  else ship t dr item None
+
+(* Own data modified elsewhere this session keeps traveling, re-encoded
+   from the (authoritative) original. We are its home, so the directory
+   row for [dst] is the copy [dst] holds and the refresh can travel as
+   byte ranges over it; with no row there is nothing to patch and
+   nothing to count. *)
+let ship_traveling t ~delta ~dst dr lp =
+  let item = encode_item t ~lp ~addr:lp.Long_pointer.addr in
+  if delta then begin
+    let d =
+      match Directory.base t.directory ~peer:dst ~addr:lp.Long_pointer.addr with
+      | Some base -> delta_against t ~base item
+      | None -> None
+    in
+    dir_record t ~peer:dst ~addr:lp.Long_pointer.addr item.Wire.data;
+    ship t dr item d
+  end
+  else ship t dr item None
+
+(* The delta encoding ships traveling data in the table's iteration
+   order, the full encoding in reverse; both are pinned by the trace
+   fingerprints. *)
+let iter_traveling t ~delta f =
+  if delta then Long_pointer.Table.iter (fun lp () -> f lp) t.traveling
+  else
+    Long_pointer.Table.fold (fun lp () acc -> lp :: acc) t.traveling []
+    |> List.iter f
+
+let size p = List.length p.full + List.length p.deltas
+
+(* Done encoding [n] data: count them and clean the flushed pages. *)
+let flushed t n =
+  Stats.add_writebacks (Transport.stats t.transport) n;
+  Cache.clean_after_flush ?pinned_by:(focused_pin t) t.cache
+
+(* The modified data set for a control transfer to [dst]. Under the
+   delta encoding the frees homed at [dst] ride along; pending
+   allocations cannot, since their provisional pointers must resolve
+   before any datum referencing them is encoded, so the flush runs
+   first. *)
+let outgoing t ~dst ~delta =
+  let frees =
+    if not delta then []
+    else begin
+      let mine, others =
+        List.partition
+          (fun (lp : Long_pointer.t) -> Space_id.equal lp.origin dst)
+          t.pending_frees
       in
-      if Space_id.equal e.Cache.lp.Long_pointer.origin dst then begin
-        (match delta_for t e item with
-        | Some d -> deltas := d :: !deltas
-        | None -> ship_full ());
-        (* either way [dst] (the home) now holds this encoding *)
-        Cache.sync_shadow e item.Wire.data
-      end
-      else ship_full ())
-    (take_dirty_entries t);
-  Long_pointer.Table.iter
-    (fun lp () ->
-        let item = encode_item t ~lp ~addr:lp.Long_pointer.addr in
-        let data = item.Wire.data in
-        let full_size = item_wire_size (String.length data) in
-        (* We are this datum's home: the directory row for [dst] is the
-           copy [dst] holds, so the refresh can travel as byte ranges
-           over it instead of the full item. *)
-        let refresh =
-          match dir_base t ~peer:dst ~addr:lp.Long_pointer.addr with
-          | Some base when String.length base = String.length data ->
-            Transport.charge_cpu_bytes t.transport (String.length data);
-            let ranges = Cache.diff_ranges ~base ~now:data in
-            let dsize = delta_wire_size ranges in
-            if dsize < full_size then begin
-              Stats.add_delta_bytes_saved stats (full_size - dsize);
-              Stats.add_writeback_bytes stats dsize;
-              Some
-                {
-                  Wire.dlp = lp;
-                  base_len = String.length base;
-                  ranges =
-                    List.map (fun (off, bytes) -> { Wire.off; bytes }) ranges;
-                }
-            end
-            else begin
-              Stats.incr_full_fallbacks stats;
-              None
-            end
-          | Some _ ->
-            Stats.incr_full_fallbacks stats;
-            None
-          | None -> None
-        in
-        (* either way [dst] holds this encoding afterwards *)
-        dir_record t ~peer:dst ~addr:lp.Long_pointer.addr data;
-        match refresh with
-        | Some d -> deltas := d :: !deltas
-        | None ->
-          Stats.add_writeback_bytes stats full_size;
-          full := item :: !full)
-    t.traveling;
-  let full = List.rev !full in
-  let deltas = List.rev !deltas in
-  Stats.add_writebacks stats (List.length full + List.length deltas);
-  Cache.clean_after_flush ?pinned_by:(focused_pin t) t.cache;
-  (full, deltas)
+      t.pending_frees <- others;
+      mine
+    end
+  in
+  flush_remote_ops t;
+  let dr = draft () in
+  List.iter (ship_entry t ~delta ~dst dr) (take_dirty_entries t);
+  iter_traveling t ~delta (ship_traveling t ~delta ~dst dr);
+  let p = drafted dr ~frees in
+  flushed t (size p);
+  p
 
-(* Delta-mode session close: the dirty foreign entries grouped by their
-   origin, each group encoded against that origin (deltas where the
-   shadow allows, full items otherwise). Traveling own data is already
-   applied to our originals and ships nowhere at close. *)
-let collect_close_batches_delta t =
-  let stats = Transport.stats t.transport in
-  let foreign =
-    List.filter
-      (fun (e : Cache.entry) ->
-        not (Space_id.equal e.Cache.lp.Long_pointer.origin t.id))
+(* Apply a batch of releases for our own heap. *)
+let apply_frees t lps =
+  List.iter
+    (fun (lp : Long_pointer.t) ->
+      if not (Space_id.equal lp.origin t.id) then
+        invalid_arg "Free_batch: foreign datum";
+      (* a dead datum must stop traveling, and its directory row would
+         otherwise invite a refresh delta to a space that dropped it *)
+      note_datum t lp Trace.Acc_free;
+      Long_pointer.Table.remove t.traveling lp;
+      Directory.remove t.directory lp.addr;
+      Allocator.free t.heap lp.addr)
+    lps
+
+let incoming t ~src p =
+  apply_frees t p.frees;
+  List.iter (install_item t ~src ~kind:`Writeback) p.full;
+  List.iter (apply_delta t ~src) p.deltas
+
+(* The modified data set at session close, one payload per origin of a
+   dirty entry, each encoded against that origin. Own traveling data is
+   already applied to our originals and ships nowhere; the full encoding
+   still encodes and counts it. *)
+let close_payloads t ~delta =
+  let groups =
+    group_by_space (fun (e : Cache.entry) -> e.Cache.lp.Long_pointer.origin)
       (take_dirty_entries t)
   in
-  let n = ref 0 in
-  let batches =
-    group_by_space (fun (e : Cache.entry) -> e.Cache.lp.Long_pointer.origin)
-      foreign
-    |> List.map (fun (origin, entries) ->
-           let full = ref [] in
-           let deltas = ref [] in
-           List.iter
-             (fun (e : Cache.entry) ->
-               let item =
-                 encode_item t ~lp:e.Cache.lp ~addr:e.Cache.local_addr
-               in
-               (match delta_for t e item with
-               | Some d -> deltas := d :: !deltas
-               | None ->
-                 Stats.add_writeback_bytes stats
-                   (item_wire_size (String.length item.Wire.data));
-                 full := item :: !full);
-               incr n;
-               Cache.sync_shadow e item.Wire.data)
-             entries;
-           (origin, (List.rev !full, List.rev !deltas)))
+  let payloads =
+    List.map
+      (fun (origin, entries) ->
+        let dr = draft () in
+        List.iter (ship_entry t ~delta ~dst:origin dr) entries;
+        (origin, drafted dr ~frees:[]))
+      groups
   in
-  Stats.add_writebacks stats !n;
-  Cache.clean_after_flush ?pinned_by:(focused_pin t) t.cache;
-  batches
+  let own = draft () in
+  if not delta then
+    iter_traveling t ~delta:false (ship_traveling t ~delta:false ~dst:t.id own);
+  flushed t
+    (List.fold_left
+       (fun n (_, p) -> n + size p)
+       (List.length own.rfull) payloads);
+  payloads
 
 (* --- marshaling of argument values --- *)
 
@@ -1047,98 +1019,88 @@ let eager_for t ~peer wvalues =
 
 (* --- the RPC itself --- *)
 
-(* Apply a batch of releases for our own heap (the [Free_batch] body,
-   also ridden by delta-coherency frames). *)
-let apply_frees t lps =
-  List.iter
-    (fun (lp : Long_pointer.t) ->
-      if not (Space_id.equal lp.origin t.id) then
-        invalid_arg "Free_batch: foreign datum";
-      (* a dead datum must stop traveling, and its directory row would
-         otherwise invite a refresh delta to a space that dropped it *)
-      note_datum t lp Trace.Acc_free;
-      Long_pointer.Table.remove t.traveling lp;
-      Hashtbl.remove t.directory lp.addr;
-      Allocator.free t.heap lp.addr)
-    lps
+(* The frame tag is the one place the encoding shows on the wire:
+   [Call]/[Return] carry full items only, [Call_d]/[Return_d] add deltas
+   and frees. *)
+let call_frame ~delta ~session ~proc ~args ~eager p =
+  if delta then
+    Wire.Call_d
+      {
+        session;
+        proc;
+        args;
+        writebacks = p.full;
+        wb_deltas = p.deltas;
+        eager;
+        frees = p.frees;
+      }
+  else Wire.Call { session; proc; args; writebacks = p.full; eager }
 
-let call_plain t (info : Session.info) ~dst proc args =
-  flush_remote_ops t;
-  let writebacks = collect_writebacks t in
-  let wargs = List.map (wire_of_value t) args in
-  let eager = eager_for t ~peer:dst wargs in
-  record_copy t ~dst (List.length writebacks + List.length eager);
-  Log.debug (fun m ->
-      m "%a -> %a: call %s (%d wb, %d eager)" Space_id.pp t.id Space_id.pp dst
-        proc (List.length writebacks) (List.length eager));
-  match
-    request t ~dst
-      (Wire.Call { session = info.Session.id; proc; args = wargs; writebacks; eager })
-  with
+let return_frame ~delta ~results ~eager p =
+  if delta then
+    Wire.Return_d
+      {
+        results;
+        writebacks = p.full;
+        wb_deltas = p.deltas;
+        eager;
+        frees = p.frees;
+      }
+  else Wire.Return { results; writebacks = p.full; eager }
+
+let returned = function
   | Wire.Return { results; writebacks; eager } ->
-    List.iter (install_item t ~src:dst ~kind:`Writeback) writebacks;
-    List.iter (install_item t ~src:dst ~kind:`Eager) eager;
-    List.map (value_of_wire t) results
-  | Wire.Error msg -> raise (Remote_error msg)
-  | Wire.Fetched _ | Wire.Allocated _ | Wire.Ack | Wire.Return_d _
-  | Wire.Hb_ack | Wire.Offload_return _ ->
-    failwith "protocol error: bad reply to Call"
-
-(* The delta-coherency control transfer: coherency traffic for [dst] is
-   batched into the call frame itself — write-back deltas and the
-   pending frees homed at [dst] ride along; frees for other spaces still
-   flush as their own batches. Pending allocations cannot coalesce:
-   their provisional pointers must be resolved by the [Alloc_batch]
-   round trip before any datum referencing them is encoded, so the
-   flush below still runs first. *)
-let call_delta t (info : Session.info) ~dst proc args =
-  let my_frees, other_frees =
-    List.partition
-      (fun (lp : Long_pointer.t) -> Space_id.equal lp.origin dst)
-      t.pending_frees
-  in
-  t.pending_frees <- other_frees;
-  flush_remote_ops t;
-  let writebacks, wb_deltas = collect_writebacks_delta t ~dst in
-  let wargs = List.map (wire_of_value t) args in
-  let eager = eager_for t ~peer:dst wargs in
-  record_copy t ~dst
-    (List.length writebacks + List.length wb_deltas + List.length eager);
-  Log.debug (fun m ->
-      m "%a -> %a: call-d %s (%d wb, %d deltas, %d eager, %d frees)"
-        Space_id.pp t.id Space_id.pp dst proc (List.length writebacks)
-        (List.length wb_deltas) (List.length eager) (List.length my_frees));
-  match
-    request t ~dst
-      (Wire.Call_d
-         {
-           session = info.Session.id;
-           proc;
-           args = wargs;
-           writebacks;
-           wb_deltas;
-           eager;
-           frees = my_frees;
-         })
-  with
+    Some (results, { no_payload with full = writebacks }, eager)
   | Wire.Return_d { results; writebacks; wb_deltas; eager; frees } ->
-    apply_frees t frees;
-    List.iter (install_item t ~src:dst ~kind:`Writeback) writebacks;
-    List.iter (apply_delta t ~src:dst) wb_deltas;
-    List.iter (install_item t ~src:dst ~kind:`Eager) eager;
-    List.map (value_of_wire t) results
-  | Wire.Error msg -> raise (Remote_error msg)
-  | Wire.Return _ | Wire.Fetched _ | Wire.Allocated _ | Wire.Ack
-  | Wire.Hb_ack | Wire.Offload_return _ ->
-    failwith "protocol error: bad reply to Call_d"
+    Some (results, { full = writebacks; deltas = wb_deltas; frees }, eager)
+  | _ -> None
+
+(* One end's half of a control transfer to [dst]: the modified data set,
+   and the marshaled values with the closure that travels with them. *)
+let transfer t ~dst ~delta values =
+  let p = outgoing t ~dst ~delta in
+  let wvalues = List.map (wire_of_value t) values in
+  let eager = eager_for t ~peer:dst wvalues in
+  record_copy t ~dst (size p + List.length eager);
+  (p, wvalues, eager)
+
+(* The receiving half: the modified data set, then the closure extras. *)
+let receive t ~src p eager =
+  incoming t ~src p;
+  List.iter (install_item t ~src ~kind:`Eager) eager
 
 let call t ~dst proc args =
   refocus t;
   let info = Session.current_exn t.session in
   if Space_id.equal dst t.id then invalid_arg "Node.call: dst is self";
   ground_guard t @@ fun () ->
-  if delta_on t then call_delta t info ~dst proc args
-  else call_plain t info ~dst proc args
+  let delta = delta_on t in
+  let p, wargs, eager = transfer t ~dst ~delta args in
+  Log.debug (fun m ->
+      m "%a -> %a: call %s (%d wb, %d deltas, %d eager, %d frees)" Space_id.pp
+        t.id Space_id.pp dst proc (List.length p.full) (List.length p.deltas)
+        (List.length eager) (List.length p.frees));
+  let results, p, eager =
+    request t ~dst
+      (call_frame ~delta ~session:info.Session.id ~proc ~args:wargs ~eager p)
+      returned
+  in
+  receive t ~src:dst p eager;
+  List.map (value_of_wire t) results
+
+(* The callee's end of [call], answering in the encoding the call frame
+   arrived in. *)
+let serve_call t ~peer ~delta proc args p eager =
+  Session.join t.session t.id;
+  receive t ~src:peer p eager;
+  let body =
+    match Hashtbl.find_opt t.procs proc with
+    | Some f -> f
+    | None -> raise (Unknown_procedure proc)
+  in
+  let results = body t (List.map (value_of_wire t) args) in
+  let p, results, eager = transfer t ~dst:peer ~delta results in
+  return_frame ~delta ~results ~eager p
 
 (* --- fault handling: the lazy path (paper, section 3.2) --- *)
 
@@ -1152,51 +1114,49 @@ let fetch_missing t missing =
       Stats.incr_callbacks (Transport.stats t.transport);
       let wanted = List.map (fun (e : Cache.entry) -> e.Cache.lp) entries in
       let t0 = Clock.now clock in
-      match request t ~dst:origin (Wire.Fetch { session = session_id t; wanted })
-      with
-      | Wire.Fetched { items } ->
-        (* Items we asked for are demand fetches; anything extra in the
-           same reply is the server's speculative closure around them. *)
+      let items =
+        request t ~dst:origin
+          (Wire.Fetch { session = session_id t; wanted })
+          (function Wire.Fetched { items } -> Some items | _ -> None)
+      in
+      (* Items we asked for are demand fetches; anything extra in the
+         same reply is the server's speculative closure around them. *)
+      List.iter
+        (fun (item : Wire.item) ->
+          let kind =
+            if List.exists (Long_pointer.equal item.Wire.lp) wanted then `Demand
+            else `Eager
+          in
+          install_item t ~src:origin ~kind item)
+        items;
+      (* The clock advance across this synchronous round trip is
+         exactly how long the faulting thread was stopped. *)
+      let stall = Clock.now clock -. t0 in
+      Stats.add_stall_ns (Transport.stats t.transport)
+        (int_of_float (stall *. 1e9));
+      (match t.policy with
+      | None -> ()
+      | Some pol ->
+        (* The profile gets only the avoidable part of the stall: the
+           fixed round-trip and fault overheads. The demanded bytes
+           cost the same wire and conversion time whether they ship
+           eagerly or lazily, so pricing them as stall would push the
+           controller toward eager-sized budgets whose waste it can
+           never recoup. *)
+        let c =
+          Transport.link_cost t.transport ~src:(endpoint t)
+            ~dst:(Space_id.to_string origin)
+        in
+        let overhead =
+          (2.0 *. c.Cost_model.message_latency) +. c.Cost_model.fault_overhead
+        in
+        let profile = Srpc_policy.Engine.profile pol in
+        let share = overhead /. float_of_int (List.length entries) in
         List.iter
-          (fun (item : Wire.item) ->
-            let kind =
-              if List.exists (Long_pointer.equal item.Wire.lp) wanted then `Demand
-              else `Eager
-            in
-            install_item t ~src:origin ~kind item)
-          items;
-        (* The clock advance across this synchronous round trip is
-           exactly how long the faulting thread was stopped. *)
-        let stall = Clock.now clock -. t0 in
-        Stats.add_stall_ns (Transport.stats t.transport)
-          (int_of_float (stall *. 1e9));
-        (match t.policy with
-        | None -> ()
-        | Some pol ->
-          (* The profile gets only the avoidable part of the stall: the
-             fixed round-trip and fault overheads. The demanded bytes
-             cost the same wire and conversion time whether they ship
-             eagerly or lazily, so pricing them as stall would push the
-             controller toward eager-sized budgets whose waste it can
-             never recoup. *)
-          let c =
-            Transport.link_cost t.transport ~src:(endpoint t)
-              ~dst:(Space_id.to_string origin)
-          in
-          let overhead =
-            (2.0 *. c.Cost_model.message_latency) +. c.Cost_model.fault_overhead
-          in
-          let profile = Srpc_policy.Engine.profile pol in
-          let share = overhead /. float_of_int (List.length entries) in
-          List.iter
-            (fun (e : Cache.entry) ->
-              Srpc_policy.Profile.stall profile ~ty:e.Cache.lp.Long_pointer.ty
-                ~seconds:share)
-            entries)
-      | Wire.Error msg -> raise (Remote_error msg)
-      | Wire.Return _ | Wire.Allocated _ | Wire.Ack | Wire.Return_d _
-      | Wire.Hb_ack | Wire.Offload_return _ ->
-        failwith "protocol error: bad reply to Fetch")
+          (fun (e : Cache.entry) ->
+            Srpc_policy.Profile.stall profile ~ty:e.Cache.lp.Long_pointer.ty
+              ~seconds:share)
+          entries))
     batches
 
 let handle_fault t (fault : Address_space.fault) =
@@ -1320,26 +1280,25 @@ let offload_remote t (info : Session.info) ~dst ~(root : Long_pointer.t) plan =
   (* the session's footprint witness on the targeted space precedes the
      frame — rule SP010 orders the offload-call against it *)
   note_datum t root Trace.Acc_read;
-  flush_remote_ops t;
-  let writebacks = collect_writebacks t in
-  record_copy t ~dst (List.length writebacks);
+  let p = outgoing t ~dst ~delta:false in
+  record_copy t ~dst (size p);
   Stats.incr_offload_calls (Transport.stats t.transport);
   Log.debug (fun m ->
       m "%a -> %a: offload %a (%d wb)" Space_id.pp t.id Space_id.pp dst
-        Offload.pp_plan plan (List.length writebacks));
-  match
+        Offload.pp_plan plan (List.length p.full));
+  let results, writebacks =
     request t ~dst
-      (Wire.Offload_call { session = info.Session.id; root; plan; writebacks })
-  with
-  | Wire.Offload_return { results; writebacks; wset = _ } ->
-    (* the write set rides in [writebacks] too (the home keeps mutated
-       data traveling), so installing them refreshes our copies *)
-    List.iter (install_item t ~src:dst ~kind:`Writeback) writebacks;
-    results
-  | Wire.Error msg -> raise (Remote_error msg)
-  | Wire.Return _ | Wire.Fetched _ | Wire.Allocated _ | Wire.Ack
-  | Wire.Return_d _ | Wire.Hb_ack ->
-    failwith "protocol error: bad reply to Offload_call"
+      (Wire.Offload_call
+         { session = info.Session.id; root; plan; writebacks = p.full })
+      (function
+        | Wire.Offload_return { results; writebacks; wset = _ } ->
+          Some (results, writebacks)
+        | _ -> None)
+  in
+  (* the write set rides in [writebacks] too (the home keeps mutated
+     data traveling), so installing them refreshes our copies *)
+  incoming t ~src:dst { no_payload with full = writebacks };
+  results
 
 (* Run a traversal plan rooted at the (ordinary, possibly swizzled)
    address [root]. Where it runs is the strategy's third per-call-site
@@ -1491,7 +1450,7 @@ let apply_invalidate t =
     Space_id.Table.reset t.shipped;
     Long_pointer.Table.reset t.traveling;
     Hashtbl.reset t.staged;
-    Hashtbl.reset t.directory;
+    Directory.reset t.directory;
     t.state_session <- None
   end
 
@@ -1507,54 +1466,14 @@ let handle t src req =
   let peer () = Space_id.of_string src in
   match (req : Wire.request) with
   | Wire.Call { proc; args; writebacks; eager; session = _ } ->
-    Session.join t.session t.id;
-    let peer = peer () in
-    List.iter (install_item t ~src:peer ~kind:`Writeback) writebacks;
-    List.iter (install_item t ~src:peer ~kind:`Eager) eager;
-    let body =
-      match Hashtbl.find_opt t.procs proc with
-      | Some f -> f
-      | None -> raise (Unknown_procedure proc)
-    in
-    let vargs = List.map (value_of_wire t) args in
-    let results = body t vargs in
-    flush_remote_ops t;
-    let wb = collect_writebacks t in
-    let wres = List.map (wire_of_value t) results in
-    let eager = eager_for t ~peer wres in
-    record_copy t ~dst:peer (List.length wb + List.length eager);
-    Wire.Return { results = wres; writebacks = wb; eager }
+    serve_call t ~peer:(peer ()) ~delta:false proc args
+      { no_payload with full = writebacks }
+      eager
   | Wire.Call_d { proc; args; writebacks; wb_deltas; eager; frees; session = _ }
     ->
-    Session.join t.session t.id;
-    let peer = peer () in
-    apply_frees t frees;
-    List.iter (install_item t ~src:peer ~kind:`Writeback) writebacks;
-    List.iter (apply_delta t ~src:peer) wb_deltas;
-    List.iter (install_item t ~src:peer ~kind:`Eager) eager;
-    let body =
-      match Hashtbl.find_opt t.procs proc with
-      | Some f -> f
-      | None -> raise (Unknown_procedure proc)
-    in
-    let vargs = List.map (value_of_wire t) args in
-    let results = body t vargs in
-    (* the transfer back to the caller gets the same delta treatment,
-       with the frees homed at the caller riding in the reply *)
-    let my_frees, other_frees =
-      List.partition
-        (fun (lp : Long_pointer.t) -> Space_id.equal lp.origin peer)
-        t.pending_frees
-    in
-    t.pending_frees <- other_frees;
-    flush_remote_ops t;
-    let wb, wb_deltas = collect_writebacks_delta t ~dst:peer in
-    let wres = List.map (wire_of_value t) results in
-    let eager = eager_for t ~peer wres in
-    record_copy t ~dst:peer
-      (List.length wb + List.length wb_deltas + List.length eager);
-    Wire.Return_d
-      { results = wres; writebacks = wb; wb_deltas; eager; frees = my_frees }
+    serve_call t ~peer:(peer ()) ~delta:true proc args
+      { full = writebacks; deltas = wb_deltas; frees }
+      eager
   | Wire.Fetch { wanted; session = _ } ->
     Session.join t.session t.id;
     let peer = peer () in
@@ -1565,17 +1484,14 @@ let handle t src req =
     (* installing write-backs can swizzle foreign pointers into fresh
        cache slots here, so this space must be invalidated too *)
     Session.join t.session t.id;
-    List.iter (install_item t ~src:(peer ()) ~kind:`Writeback) items;
+    incoming t ~src:(peer ()) { no_payload with full = items };
     Wire.Ack
   | Wire.Wb_delta { full; deltas; frees; invalidate; session } ->
     (* delta-coherency close frame: apply the per-destination batch —
        frees, full write-backs, byte-range deltas — then, if the
        targeted invalidation rides along, drop all session state *)
     Session.join t.session t.id;
-    let peer = peer () in
-    apply_frees t frees;
-    List.iter (install_item t ~src:peer ~kind:`Writeback) full;
-    List.iter (apply_delta t ~src:peer) deltas;
+    incoming t ~src:(peer ()) { full; deltas; frees };
     if invalidate then
       if Session.concurrent_enabled t.session then purge_session t session
       else apply_invalidate t;
@@ -1636,7 +1552,7 @@ let handle t src req =
     let peer = peer () in
     (* the caller's modified data set arrives first so the walk sees the
        session's latest writes, exactly as a Call's callee would *)
-    List.iter (install_item t ~src:peer ~kind:`Writeback) writebacks;
+    incoming t ~src:peer { no_payload with full = writebacks };
     if not (Space_id.equal root.Long_pointer.origin t.id) then
       raise
         (Remote_error
@@ -1664,21 +1580,19 @@ let handle t src req =
           lp)
         out.Offload.mutated
     in
-    flush_remote_ops t;
-    let wb = collect_writebacks t in
-    record_copy t ~dst:peer (List.length wb);
-    Wire.Offload_return { results = out.Offload.results; writebacks = wb; wset }
+    let p = outgoing t ~dst:peer ~delta:false in
+    record_copy t ~dst:peer (size p);
+    Wire.Offload_return { results = out.Offload.results; writebacks = p.full; wset }
   | Wire.Hb -> Wire.Hb_ack (* handled above; unreachable *)
 
 let handle_encoded t src req =
-  match handle t src req with
-  | resp -> Wire.encode_response ~reg:t.registry resp
-  | exception Peer_unreachable ep ->
-    Wire.encode_response ~reg:t.registry (Wire.Error (unreachable_prefix ^ ep))
-  | exception Remote_error msg when is_unreachable_msg msg ->
-    Wire.encode_response ~reg:t.registry (Wire.Error msg)
-  | exception exn ->
-    Wire.encode_response ~reg:t.registry (Wire.Error (Printexc.to_string exn))
+  let resp =
+    match handle t src req with
+    | resp -> resp
+    | exception Peer_unreachable ep -> Wire.Error (unreachable_prefix ^ ep)
+    | exception exn -> Wire.Error (Printexc.to_string exn)
+  in
+  Wire.encode_response ~reg:t.registry resp
 
 let dispatch t src req_str =
   match Wire.decode_framed ~reg:t.registry req_str with
@@ -1743,7 +1657,7 @@ let close_tail t (info : Session.info) =
      Cache.invalidate t.cache;
      Space_id.Table.reset t.shipped;
      Long_pointer.Table.reset t.traveling;
-     Hashtbl.reset t.directory;
+     Directory.reset t.directory;
      t.state_session <- None
    end);
   (* Every participant has now recorded its outcomes into the shared
@@ -1768,189 +1682,134 @@ let close_tail t (info : Session.info) =
   Session.close t.session;
   Transport.mark t.transport ~src:(endpoint t) (Trace.Session_end info.Session.id)
 
-let writeback_batches t =
-  let items = collect_writebacks t in
-  (* Own traveling items are already applied to our originals. *)
-  let foreign =
-    List.filter
-      (fun (i : Wire.item) -> not (Space_id.equal i.lp.Long_pointer.origin t.id))
-      items
-  in
-  group_by_space (fun (i : Wire.item) -> i.lp.Long_pointer.origin) foreign
+let note_inval t sid peer =
+  Transport.note t.transport ~src:(endpoint t) ~dst:(Space_id.to_string peer)
+    (Trace.Inval_sent sid)
 
-(* The original reliable-transport close: write-backs applied on
-   delivery. Kept verbatim so runs without a fault plan stay
-   byte-identical. *)
-let end_session_plain t (info : Session.info) =
-  flush_remote_ops t;
-  Transport.mark t.transport ~src:(endpoint t) (Trace.Write_back info.Session.id);
-  let batches = writeback_batches t in
-  List.iter
-    (fun (origin, items) ->
-      expect_ack
-        (request t ~dst:origin (Wire.Write_back { session = info.Session.id; items })))
-    batches;
-  (* snapshot participants only now: installing write-backs may have
-     enrolled origin spaces that must also drop fresh cache entries *)
-  Transport.mark t.transport ~src:(endpoint t) (Trace.Invalidate info.Session.id);
-  let others = Space_id.Set.remove t.id info.Session.participants in
-  Space_id.Set.iter
-    (fun peer ->
-      Transport.note t.transport ~src:(endpoint t)
-        ~dst:(Space_id.to_string peer) (Trace.Inval_sent info.Session.id);
-      expect_ack (request t ~dst:peer (Wire.Invalidate { session = info.Session.id })))
-    others;
-  close_tail t info
+(* The direct delta frame carries the frees too: one payload per origin
+   of a write-back or a free, in origin order. *)
+let with_frees payloads frees =
+  let frees_by = group_by_space (fun (lp : Long_pointer.t) -> lp.origin) frees in
+  let find l origin ~default = Option.value ~default (List.assoc_opt origin l) in
+  List.sort_uniq Space_id.compare (List.map fst payloads @ List.map fst frees_by)
+  |> List.map (fun origin ->
+         let p = find payloads origin ~default:no_payload in
+         (origin, { p with frees = find frees_by origin ~default:[] }))
 
-(* The crash-safe close: the modified data set is first staged at every
-   origin, and applied only once the full set is delivered. A
-   participant dying before the commit point aborts the session with the
-   originals untouched everywhere; after the commit point each origin
-   applies its complete per-origin set or (if it died) none of it. *)
-let end_session_faulty t (info : Session.info) =
+(* The close's last step. The full encoding invalidates every other
+   participant. The delta encoding invalidates only the spaces that
+   cached session data and that no combined frame [reached], and counts
+   the ones it spared. [tolerate]: a dead peer purges its own leftovers
+   on next contact. *)
+let invalidate t (info : Session.info) ~delta ~reached ~tolerate =
   let sid = info.Session.id in
-  let batches =
-    ground_guard t @@ fun () ->
-    flush_remote_ops t;
-    let batches = writeback_batches t in
-    List.iter
-      (fun (origin, items) ->
-        expect_ack (request t ~dst:origin (Wire.Wb_stage { session = sid; items })))
-      batches;
-    batches
-  in
-  (* commit point: the complete modified data set is staged everywhere *)
-  Transport.mark t.transport ~src:(endpoint t) (Trace.Write_back sid);
-  List.iter
-    (fun (origin, _) ->
-      try expect_ack (request t ~dst:origin (Wire.Wb_commit { session = sid }))
-      with Peer_unreachable _ ->
-        (* the dead origin's staged set dies with it and is purged on
-           next contact; it never applies a partial set *)
-        ())
-    batches;
-  Transport.mark t.transport ~src:(endpoint t) (Trace.Invalidate sid);
   let others = Space_id.Set.remove t.id info.Session.participants in
-  Space_id.Set.iter
-    (fun peer ->
-      Transport.note t.transport ~src:(endpoint t)
-        ~dst:(Space_id.to_string peer) (Trace.Inval_sent sid);
-      try expect_ack (request t ~dst:peer (Wire.Invalidate { session = sid }))
-      with Peer_unreachable _ -> ())
-    others;
-  close_tail t info
-
-(* Targeted-invalidation bookkeeping shared by the delta closes:
-   [reached] is the set already invalidated by combined frames; the
-   remaining cachers get bare [Invalidate] unicasts, and whoever the
-   copy directory spared is counted. *)
-let targeted_invalidate t (info : Session.info) ~reached ~tolerate =
-  let sid = info.Session.id in
-  let remaining =
-    Space_id.Set.diff
-      (Space_id.Set.remove t.id info.Session.cachers)
-      reached
+  let targets =
+    if delta then
+      Space_id.Set.diff (Space_id.Set.remove t.id info.Session.cachers) reached
+    else others
   in
   Space_id.Set.iter
     (fun peer ->
-      Transport.note t.transport ~src:(endpoint t)
-        ~dst:(Space_id.to_string peer) (Trace.Inval_sent sid);
-      try expect_ack (request t ~dst:peer (Wire.Invalidate { session = sid }))
+      note_inval t sid peer;
+      try request t ~dst:peer (Wire.Invalidate { session = sid }) ack
       with Peer_unreachable _ when tolerate -> ())
-    remaining;
-  let invalidated = Space_id.Set.union reached remaining in
-  let spared =
-    Space_id.Set.diff
-      (Space_id.Set.remove t.id info.Session.participants)
-      invalidated
-  in
+    targets;
   Stats.add_invalidations_skipped
     (Transport.stats t.transport)
-    (Space_id.Set.cardinal spared)
+    (Space_id.Set.cardinal
+       (Space_id.Set.diff others (Space_id.Set.union reached targets)))
 
-(* Delta close over a reliable transport: one combined frame per origin
-   carries its write-backs (full and delta), its pending frees and the
-   targeted invalidation; the remaining caching spaces get bare
-   invalidation unicasts; everyone else is spared entirely. *)
-let end_session_delta_plain t (info : Session.info) =
-  let sid = info.Session.id in
-  let frees = t.pending_frees in
-  t.pending_frees <- [];
-  flush_remote_ops t;
-  Transport.mark t.transport ~src:(endpoint t) (Trace.Write_back sid);
-  let batches = collect_close_batches_delta t in
-  let frees_by = group_by_space (fun (lp : Long_pointer.t) -> lp.origin) frees in
-  let origins =
-    List.sort_uniq Space_id.compare
-      (List.map fst batches @ List.map fst frees_by)
-  in
-  List.iter
-    (fun origin ->
-      let full, deltas =
-        Option.value ~default:([], []) (List.assoc_opt origin batches)
-      in
-      let frees = Option.value ~default:[] (List.assoc_opt origin frees_by) in
-      record_copy t ~dst:origin (List.length full + List.length deltas);
-      Transport.note t.transport ~src:(endpoint t)
-        ~dst:(Space_id.to_string origin) (Trace.Inval_sent sid);
-      expect_ack
-        (request t ~dst:origin
-           (Wire.Wb_delta { session = sid; full; deltas; frees; invalidate = true })))
-    origins;
-  Transport.mark t.transport ~src:(endpoint t) (Trace.Invalidate sid);
-  let reached =
-    List.fold_left
-      (fun s o -> Space_id.Set.add o s)
-      Space_id.Set.empty origins
-  in
-  targeted_invalidate t info ~reached ~tolerate:false;
-  close_tail t info
-
-(* Delta close under the fault envelope: same two-phase shape as the
-   plain faulty close — stage everything (full items and deltas), pass
-   the commit point, then invalidate — except that the invalidation is
-   targeted by the copy directory instead of multicast to every
-   participant. Frees and allocations flush as their own acked batches
-   before the commit point so an abort can still discard cleanly. *)
-let end_session_delta_faulty t (info : Session.info) =
-  let sid = info.Session.id in
-  let batches =
-    ground_guard t @@ fun () ->
-    flush_remote_ops t;
-    let batches = collect_close_batches_delta t in
-    List.iter
-      (fun (origin, (full, deltas)) ->
-        record_copy t ~dst:origin (List.length full + List.length deltas);
-        if full <> [] then
-          expect_ack
-            (request t ~dst:origin (Wire.Wb_stage { session = sid; items = full }));
-        if deltas <> [] then
-          expect_ack
-            (request t ~dst:origin (Wire.Wb_stage_delta { session = sid; deltas })))
-      batches;
-    batches
-  in
-  (* commit point: the complete modified data set is staged everywhere *)
-  Transport.mark t.transport ~src:(endpoint t) (Trace.Write_back sid);
-  List.iter
-    (fun (origin, _) ->
-      try expect_ack (request t ~dst:origin (Wire.Wb_commit { session = sid }))
-      with Peer_unreachable _ -> ())
-    batches;
-  Transport.mark t.transport ~src:(endpoint t) (Trace.Invalidate sid);
-  targeted_invalidate t info ~reached:Space_id.Set.empty ~tolerate:true;
-  close_tail t info
-
+(* The session close: encoding (full or delta) x delivery (direct, or
+   staged under a fault plan); docs/PROTOCOL.md tabulates the four
+   cells. Staged delivery first stages the modified data set at every
+   origin, inside the guard, so a participant dying before the commit
+   point aborts the session with the originals untouched. The
+   [Write_back] mark is the commit point: after it each origin applies
+   its complete set or, if it died, none of it. Direct delivery applies
+   on arrival. *)
 let end_session t =
   refocus t;
   let info = Session.current_exn t.session in
   if not (Space_id.equal info.Session.ground t.id) then
     invalid_arg "Node.end_session: only the ground thread may end the session";
-  if delta_on t then
-    if faulty t then end_session_delta_faulty t info
-    else end_session_delta_plain t info
-  else if faulty t then end_session_faulty t info
-  else end_session_plain t info
+  let sid = info.Session.id in
+  let delta = delta_on t and staged = faulty t in
+  let send origin req = request t ~dst:origin req ack in
+  (* only the direct delta frame has room for the frees; elsewhere they
+     flush as their own batch *)
+  let frees =
+    if delta && not staged then begin
+      let frees = t.pending_frees in
+      t.pending_frees <- [];
+      frees
+    end
+    else []
+  in
+  let staged_payloads =
+    ground_guard t @@ fun () ->
+    flush_remote_ops t;
+    if not staged then []
+    else begin
+      let payloads = close_payloads t ~delta in
+      List.iter
+        (fun (origin, p) ->
+          (* targeted invalidation reads the copy provenance; the full
+             encoding invalidates everyone and records none *)
+          if delta then record_copy t ~dst:origin (size p);
+          if p.full <> [] then
+            send origin (Wire.Wb_stage { session = sid; items = p.full });
+          if p.deltas <> [] then
+            send origin
+              (Wire.Wb_stage_delta { session = sid; deltas = p.deltas }))
+        payloads;
+      payloads
+    end
+  in
+  Transport.mark t.transport ~src:(endpoint t) (Trace.Write_back sid);
+  let reached =
+    if staged then begin
+      List.iter
+        (fun (origin, _) ->
+          try send origin (Wire.Wb_commit { session = sid })
+          with Peer_unreachable _ ->
+            (* the dead origin's staged set dies with it and is purged
+               on next contact; it never applies a partial set *)
+            ())
+        staged_payloads;
+      Space_id.Set.empty
+    end
+    else if delta then begin
+      (* one combined frame per origin: write-backs, frees and the
+         invalidation *)
+      let payloads = with_frees (close_payloads t ~delta) frees in
+      List.iter
+        (fun (origin, p) ->
+          record_copy t ~dst:origin (size p);
+          note_inval t sid origin;
+          send origin
+            (Wire.Wb_delta
+               {
+                 session = sid;
+                 full = p.full;
+                 deltas = p.deltas;
+                 frees = p.frees;
+                 invalidate = true;
+               }))
+        payloads;
+      Space_id.Set.of_list (List.map fst payloads)
+    end
+    else begin
+      List.iter
+        (fun (origin, p) ->
+          send origin (Wire.Write_back { session = sid; items = p.full }))
+        (close_payloads t ~delta);
+      Space_id.Set.empty
+    end
+  in
+  Transport.mark t.transport ~src:(endpoint t) (Trace.Invalidate sid);
+  invalidate t info ~delta ~reached ~tolerate:staged;
+  close_tail t info
 
 let with_session t f =
   begin_session t;
@@ -2110,7 +1969,7 @@ let extended_free t addr =
         else acc)
       t.traveling []
     |> List.iter (Long_pointer.Table.remove t.traveling);
-    Hashtbl.remove t.directory addr;
+    Directory.remove t.directory addr;
     note_access t ~datum:(datum_of_addr t addr) Trace.Acc_free;
     Allocator.free t.heap addr
   end
@@ -2166,11 +2025,10 @@ let create ?(page_size = 4096) ?(heap_base = 0x10000) ?(heap_limit = 0x4000000)
       reply_cap = reply_cache_cap;
       reply_tick = 0;
       staged = Hashtbl.create 4;
-      directory = Hashtbl.create 32;
+      directory = Directory.create ();
       state_session = None;
       sstash = Hashtbl.create 4;
       focused = None;
-      dir_owner = Hashtbl.create 32;
     }
   in
   Mmu.set_handler mmu (handle_fault t);
@@ -2199,11 +2057,6 @@ let traced t = Transport.traced t.transport
 let cached_entries t = Cache.entry_count t.cache
 let reply_cache_size t = Hashtbl.length t.replies
 
-let copy_directory t =
-  Hashtbl.fold
-    (fun addr tbl acc ->
-      (addr, Space_id.Table.fold (fun peer _ peers -> peer :: peers) tbl [])
-      :: acc)
-    t.directory []
+let copy_directory t = Directory.holders t.directory
 
 let pp_alloc_table ppf t = Cache.pp_table ppf t.cache

@@ -27,7 +27,8 @@ exception Remote_error of string
 exception Unknown_procedure of string
 
 (** Raised (on non-ground nodes) when a peer stayed unreachable through
-    the whole retry envelope or is crashed in the fault plan. On the
+    the whole retry envelope or is crashed in the fault plan, or when a
+    reply relays such a failure from deeper in a nested call. On the
     ground thread the runtime instead aborts the session and raises
     {!Session.Session_aborted}. *)
 exception Peer_unreachable of string

@@ -228,8 +228,8 @@ let test_adaptive_flip () =
   Alcotest.(check string) "high locality stays local" "local"
     hi.Experiments.oa_choice;
   Alcotest.(check int) "identical results"
-    lo.Experiments.oa_run.Experiments.of_result
-    hi.Experiments.oa_run.Experiments.of_result
+    lo.Experiments.oa_run.Experiments.visited
+    hi.Experiments.oa_run.Experiments.visited
 
 (* The wire acceptance gate, at test scale: a one-shot offloaded
    traversal moves an order of magnitude fewer bytes than the eager
@@ -238,13 +238,13 @@ let test_wire_reduction () =
   match Experiments.offload_sweep ~depth:8 ~repeat_points:[ 1 ] () with
   | [ row ] ->
     let e = row.Experiments.of_eager and o = row.Experiments.of_always in
-    Alcotest.(check int) "same answer" e.Experiments.of_result
-      o.Experiments.of_result;
+    Alcotest.(check int) "same answer" e.Experiments.visited
+      o.Experiments.visited;
     Alcotest.(check bool)
       (Printf.sprintf "10x fewer bytes (eager %d, offload %d)"
-         e.Experiments.of_bytes o.Experiments.of_bytes)
+         e.Experiments.stats.bytes o.Experiments.stats.bytes)
       true
-      (o.Experiments.of_bytes * 10 <= e.Experiments.of_bytes)
+      (o.Experiments.stats.bytes * 10 <= e.Experiments.stats.bytes)
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
 (* The check harness's offload mix at test scale: generated scripts

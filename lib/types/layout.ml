@@ -1,89 +1,39 @@
-open Srpc_memory
+type leaf_kind = Registry.leaf_kind = Scalar of Type_desc.prim | Ptr of string
+type leaf = Registry.leaf = { leaf_offset : int; kind : leaf_kind }
 
-type field = { name : string; offset : int; ty : Type_desc.t }
-type t = { size : int; align : int; fields : field list }
-type leaf = { leaf_offset : int; kind : leaf_kind }
-and leaf_kind = Scalar of Type_desc.prim | Ptr of string
+type t = Registry.layout = {
+  size : int;
+  align : int;
+  fields : field list;
+  leaves : leaf list;
+  pointer_leaves : (int * string) list;
+  as_leaf : leaf_kind option;
+}
 
-exception Recursive_type of string
+and field = Registry.field = { name : string; offset : int; ty : Type_desc.t; layout : t }
 
-let round_up n align = (n + align - 1) / align * align
+exception Recursive_type = Registry.Recursive_type
 
-(* [visiting] tracks Named types being laid out by value, to reject
-   infinitely-sized types (a struct containing itself not behind a
-   pointer). Pointers do not recurse, so list/tree nodes are fine. *)
-let rec layout_rec reg (arch : Arch.t) visiting ty : t =
-  match (ty : Type_desc.t) with
-  | Prim p ->
-    let size = Type_desc.prim_size p in
-    { size; align = size; fields = [] }
-  | Pointer _ -> { size = arch.word_size; align = arch.word_size; fields = [] }
-  | Named name ->
-    if List.mem name visiting then raise (Recursive_type name);
-    layout_rec reg arch (name :: visiting) (Registry.find reg name)
-  | Array (elem, n) ->
-    if n < 0 then invalid_arg "Layout: negative array length";
-    let el = layout_rec reg arch visiting elem in
-    let stride = round_up el.size el.align in
-    { size = stride * n; align = el.align; fields = [] }
-  | Struct fs ->
-    let offset, align, rev_fields =
-      List.fold_left
-        (fun (offset, align, acc) (name, fty) ->
-          let fl = layout_rec reg arch visiting fty in
-          let offset = round_up offset fl.align in
-          (offset + fl.size, max align fl.align, { name; offset; ty = fty } :: acc))
-        (0, 1, []) fs
-    in
-    { size = round_up offset align; align; fields = List.rev rev_fields }
-
-let of_type reg arch ty = layout_rec reg arch [] ty
+let of_type = Registry.layout
+let of_name = Registry.layout_of_name
 let sizeof reg arch ty = (of_type reg arch ty).size
-let sizeof_name reg arch name = sizeof reg arch (Type_desc.Named name)
+let sizeof_name reg arch name = (of_name reg arch name).size
 
-let struct_fields reg ty =
+let field l name =
+  let rec go = function
+    | f :: rest -> if String.equal f.name name then f else go rest
+    | [] -> raise Not_found
+  in
+  go l.fields
+
+let field_offset reg arch ~ty ~field:name = (field (of_type reg arch ty) name).offset
+
+let field_type reg ~ty ~field =
   match Registry.resolve reg ty with
-  | Type_desc.Struct fs -> fs
+  | Type_desc.Struct fs -> (
+    match List.assoc_opt field fs with Some t -> t | None -> raise Not_found)
   | Type_desc.Prim _ | Pointer _ | Array _ -> raise Not_found
   | Type_desc.Named _ -> assert false (* resolve returns structural *)
 
-let field_offset reg arch ~ty ~field =
-  let resolved = Registry.resolve reg ty in
-  let l = of_type reg arch resolved in
-  match List.find_opt (fun f -> String.equal f.name field) l.fields with
-  | Some f -> f.offset
-  | None -> raise Not_found
-
-let field_type reg ~ty ~field =
-  match List.assoc_opt field (struct_fields reg ty) with
-  | Some t -> t
-  | None -> raise Not_found
-
-let leaves reg (arch : Arch.t) ty =
-  let out = ref [] in
-  let rec go base visiting ty =
-    match (ty : Type_desc.t) with
-    | Prim p -> out := { leaf_offset = base; kind = Scalar p } :: !out
-    | Pointer target -> out := { leaf_offset = base; kind = Ptr target } :: !out
-    | Named name ->
-      if List.mem name visiting then raise (Recursive_type name);
-      go base (name :: visiting) (Registry.find reg name)
-    | Array (elem, n) ->
-      let el = layout_rec reg arch visiting elem in
-      let stride = round_up el.size el.align in
-      for i = 0 to n - 1 do
-        go (base + (i * stride)) visiting elem
-      done
-    | Struct fs ->
-      let l = layout_rec reg arch visiting ty in
-      List.iter2
-        (fun { offset; ty = fty; _ } (_, _) -> go (base + offset) visiting fty)
-        l.fields fs
-  in
-  go 0 [] ty;
-  List.rev !out
-
-let pointer_leaves reg arch ty =
-  List.filter_map
-    (fun l -> match l.kind with Ptr t -> Some (l.leaf_offset, t) | Scalar _ -> None)
-    (leaves reg arch ty)
+let leaves reg arch ty = (of_type reg arch ty).leaves
+let pointer_leaves reg arch ty = (of_type reg arch ty).pointer_leaves

@@ -219,12 +219,10 @@ let find_by_lp t lp = Long_pointer.Table.find_opt t.by_lp lp
 let find_by_addr t addr = Hashtbl.find_opt t.by_addr addr
 
 let find_containing t addr =
-  match Hashtbl.find_opt t.by_addr addr with
-  | Some _ as hit -> hit
-  | None ->
+  try Hashtbl.find t.by_addr addr
+  with Not_found ->
     entries_on_page t (addr / psz t)
-    |> List.find_opt (fun e ->
-           addr >= e.local_addr && addr < e.local_addr + e.size)
+    |> List.find (fun e -> addr >= e.local_addr && addr < e.local_addr + e.size)
 
 let iter_entries t f =
   (* by_addr has exactly one binding per live entry *)

@@ -89,8 +89,11 @@ val find_by_addr : t -> int -> entry option
 
 (** [find_containing t addr] is the entry whose slot covers [addr] —
     unlike {!find_by_addr} it also resolves interior addresses (array
-    elements, field offsets), as needed by touch tracking. *)
-val find_containing : t -> int -> entry option
+    elements, field offsets), as needed by touch tracking. It raises
+    rather than returning an option so the per-access hit allocates
+    nothing.
+    @raise Not_found when no entry covers [addr]. *)
+val find_containing : t -> int -> entry
 val entries_on_page : t -> int -> entry list
 val iter_entries : t -> (entry -> unit) -> unit
 val entry_count : t -> int

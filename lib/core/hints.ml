@@ -22,28 +22,22 @@ let find t ~ty = Hashtbl.find_opt t ty
 let to_list t = Hashtbl.fold (fun ty rule acc -> (ty, rule) :: acc) t []
 
 (* Pointer leaves contributed by one direct field, at its offset. *)
-let field_pointer_leaves reg arch ~ty ~field =
-  let desc = Type_desc.Named ty in
-  let base =
-    try Layout.field_offset reg arch ~ty:desc ~field
-    with Not_found -> raise (Unknown_field { ty; field })
-  in
-  let fty = Layout.field_type reg ~ty:desc ~field in
-  List.map (fun (off, target) -> (base + off, target)) (Layout.pointer_leaves reg arch fty)
+let field_pointer_leaves l ~ty ~field =
+  match Layout.field l field with
+  | f -> List.map (fun (off, target) -> (f.offset + off, target)) f.layout.pointer_leaves
+  | exception Not_found -> raise (Unknown_field { ty; field })
 
 let pointer_fields t reg arch ~ty =
+  let l = Layout.of_name reg arch ty in
   match find t ~ty with
-  | None -> Layout.pointer_leaves reg arch (Type_desc.Named ty)
+  | None -> l.pointer_leaves
   | Some { follow; prune_others } ->
     let followed =
-      List.concat_map (fun field -> field_pointer_leaves reg arch ~ty ~field) follow
+      List.concat_map (fun field -> field_pointer_leaves l ~ty ~field) follow
     in
     if prune_others then followed
     else begin
       let seen = List.map fst followed in
-      let rest =
-        Layout.pointer_leaves reg arch (Type_desc.Named ty)
-        |> List.filter (fun (off, _) -> not (List.mem off seen))
-      in
+      let rest = List.filter (fun (off, _) -> not (List.mem off seen)) l.pointer_leaves in
       followed @ rest
     end

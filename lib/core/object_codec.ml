@@ -15,13 +15,12 @@ type decode_ctx = {
 }
 
 let encode ctx ~ty raw =
-  let desc = Type_desc.Named ty in
-  let size = Layout.sizeof ctx.enc_reg ctx.enc_arch desc in
-  if Bytes.length raw <> size then
+  let l = Layout.of_name ctx.enc_reg ctx.enc_arch ty in
+  if Bytes.length raw <> l.size then
     invalid_arg
-      (Printf.sprintf "Object_codec.encode: %s is %d bytes, got %d" ty size
+      (Printf.sprintf "Object_codec.encode: %s is %d bytes, got %d" ty l.size
          (Bytes.length raw));
-  let enc = Xdr.Enc.create ~initial:(size * 2) () in
+  let enc = Xdr.Enc.create ~initial:(l.size * 2) () in
   let endian = ctx.enc_arch.Arch.endian in
   List.iter
     (fun { Layout.leaf_offset = off; kind } ->
@@ -38,13 +37,12 @@ let encode ctx ~ty raw =
         let word = Mem.Codec.get_word ctx.enc_arch raw off in
         let lp = if word = 0 then None else ctx.unswizzle ~ty:target word in
         Long_pointer.encode ~reg:ctx.enc_reg enc lp)
-    (Layout.leaves ctx.enc_reg ctx.enc_arch desc);
+    l.leaves;
   Xdr.Enc.to_string enc
 
 let decode ctx ~ty data =
-  let desc = Type_desc.Named ty in
-  let size = Layout.sizeof ctx.dec_reg ctx.dec_arch desc in
-  let raw = Bytes.make size '\000' in
+  let l = Layout.of_name ctx.dec_reg ctx.dec_arch ty in
+  let raw = Bytes.make l.size '\000' in
   let dec = Xdr.Dec.of_string data in
   let endian = ctx.dec_arch.Arch.endian in
   List.iter
@@ -61,13 +59,13 @@ let decode ctx ~ty data =
       | Layout.Ptr _ ->
         let lp = Long_pointer.decode ~reg:ctx.dec_reg dec in
         Mem.Codec.set_word ctx.dec_arch raw off (ctx.swizzle lp))
-    (Layout.leaves ctx.dec_reg ctx.dec_arch desc);
+    l.leaves;
   Xdr.Dec.check_end dec;
   raw
 
 let scalar_leaf_count reg ~ty =
   (* Leaf structure is arch-independent; any arch will do for counting. *)
-  Layout.leaves reg Arch.ilp32_le (Type_desc.Named ty)
+  (Layout.of_name reg Arch.ilp32_le ty).leaves
   |> List.filter (fun l ->
          match l.Layout.kind with Layout.Scalar _ -> true | Layout.Ptr _ -> false)
   |> List.length

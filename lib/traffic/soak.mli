@@ -6,7 +6,13 @@
     breaker) and journal-based session recovery all armed. The bench
     gate demands >= 99% session completion, zero validation-detected
     lost updates and a p99 latency within 5x of the fault-free
-    {!baseline}. See docs/ROBUSTNESS.md. *)
+    {!baseline}. See docs/ROBUSTNESS.md.
+
+    It drives the same client state machine as {!Traffic.run}; the
+    table in docs/TRAFFIC.md ("One scheduler, two harnesses") lists
+    what the soak adds: a horizon stop rule, the fault plan, health,
+    the crash/revive events, the admission caps and the give-up
+    bound. *)
 
 open Srpc_core
 open Srpc_check
@@ -14,13 +20,15 @@ open Srpc_check
 type config = {
   clients : int;  (** client (per-session ground) nodes, >= 1 *)
   servers : int;  (** server (worker) nodes, 2..8 *)
-  rate : float;  (** session arrivals per virtual second, per client *)
+  rate : float;
+      (** session arrivals per virtual second, per client; positive and
+          finite *)
   mix : Script.kind list;  (** workload kinds cycled across sessions *)
   depth : int;  (** ops per session script *)
   seed : int;
   policy : Strategy.admission_policy;
   contention : Traffic.contention;
-  horizon : float;  (** virtual seconds of offered arrivals *)
+  horizon : float;  (** virtual seconds of offered arrivals; positive, finite *)
   drop : float;  (** per-frame drop probability *)
   dup : float;  (** per-frame duplication probability *)
   crash_period : float;
@@ -70,12 +78,14 @@ type result = {
     fault plan and a health detector. *)
 val chaotic : config -> bool
 
+(** The same exception as {!Traffic.Stuck}. *)
 exception Stuck
 
 (** [run cfg] executes the soak. When [chaotic cfg] is false no fault
     plan and no detector are constructed, so the wire path is
     byte-identical to a health-free cluster.
-    @raise Stuck on scheduler deadlock or fuel exhaustion. *)
+    @raise Stuck on scheduler deadlock or fuel exhaustion.
+    @raise Invalid_argument on a config outside the ranges above. *)
 val run : config -> result
 
 (** [baseline cfg] is [run] with drops, duplicates and the crash

@@ -1,32 +1,15 @@
 (* srpc-traffic: the open-loop concurrent-session traffic generator.
 
-   N client nodes (each the ground of its own sessions) drive a small
-   pool of server nodes through the admission controller. Arrivals are
-   Poisson in VIRTUAL time: all randomness flows through the seeded
-   splitmix in [Rng], and time is the simulation's cost-model clock —
-   no wall clock anywhere, so a (seed, config) pair names one exact
-   execution on every machine.
-
-   Time model. The cluster has ONE virtual clock that meters the cost
-   of every operation (the simulation is single-threaded). The traffic
-   scheduler runs one resolved op at a time and charges its clock delta
-   to the issuing client's private logical timeline; concurrent clients
-   therefore overlap in logical time exactly as N independent machines
-   would, while the underlying execution interleaves op-atomically —
-   the same soundness argument as the weave checker. The serialized
-   baseline replays the same sessions on one accumulated timeline, so
+   A thin caller of the open-loop scheduler in [Driver]: a fixed number
+   of sessions per client, admission with no caps, no health detector,
+   no timed events and no give-up bound. The serialized baseline
+   replays the same sessions on one accumulated timeline, so
 
      speedup = concurrent throughput / serialized throughput
 
    approaches the client count for admission-disjoint workloads (the
    bench gate demands >= 2x at 8 clients) and ~1 when every session
-   contends the same datum root.
-
-   Sessions are generated by [Gen.session_script] (the leading build op
-   forced to the configured workload mix) and executed through
-   [Interp.exec_rop] — the very interpreter the model checker runs —
-   so traffic can never drift from checked op semantics. Race_lint and
-   the protocol linter run over the full trace as standing oracles. *)
+   contends the same datum root. *)
 
 open Srpc_core
 open Srpc_simnet
@@ -78,351 +61,89 @@ type result = {
   r_proto_errors : int;
 }
 
-let percentile sorted p =
-  match Array.length sorted with
-  | 0 -> 0.0
-  | n -> sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1) +. 0.5)))
+let contention_name = function Disjoint -> "disjoint" | Hot -> "hot"
 
-(* One pre-generated session: arrival offset on its client's timeline
-   plus the resolved plan. *)
-type job = { j_arrival : float; j_plan : Script.plan }
-
-let gen_jobs cfg ~client =
-  let arr_rng = Rng.create (cfg.seed lxor ((client + 1) * 0x9e3779b9)) in
-  let mixn = max 1 (List.length cfg.mix) in
-  let t = ref 0.0 in
-  List.init cfg.sessions_per_client (fun s ->
-      let u = min 0.999_999 (Rng.float arr_rng) in
-      t := !t +. (-.log (1.0 -. u) /. cfg.rate);
-      let kind =
-        if cfg.mix = [] then Script.KList
-        else List.nth cfg.mix ((client + s) mod mixn)
-      in
-      let script =
-        Gen.session_script
-          ~seed:((cfg.seed * 7919) + (client * 104729) + s)
-          ~depth:cfg.depth
-          ~workers:(min 3 cfg.servers)
-          ~kind ~fault:None
-      in
-      { j_arrival = !t; j_plan = Script.resolve script })
-
-let job_footprint cfg ~client =
-  let root =
-    match cfg.contention with
-    | Disjoint -> Printf.sprintf "client%d" client
-    | Hot -> "hot"
+(* the installation, its arrivals (a fixed count per client) and an
+   admission controller with no caps *)
+let build cfg =
+  let spec =
+    {
+      Driver.name = "Traffic";
+      clients = cfg.clients;
+      servers = cfg.servers;
+      seed = cfg.seed;
+      rate = cfg.rate;
+      mix = cfg.mix;
+      depth = cfg.depth;
+      hot = cfg.contention = Hot;
+      count = cfg.sessions_per_client;
+      horizon = infinity;
+    }
   in
-  Footprint.session
-    ~label:(Printf.sprintf "traffic[c%d]" client)
-    [ { Footprint.root; path = "*"; mode = Footprint.Write } ]
+  let setup = Driver.setup spec in
+  let stats = Cluster.stats setup.Driver.cluster in
+  (spec, setup, Admission.create ~policy:cfg.policy stats)
 
-(* The simulated installation: one cluster, client grounds at sites
-   1..C, servers at sites C+1.., heterogeneous server architectures,
-   one concurrent-mode strategy for everyone. *)
-type setup = {
-  su_cluster : Cluster.t;
-  su_grounds : Node.t array;
-  su_servers : Node.t list;
-  su_adm : Admission.t;
-  su_trace : Trace.t;
-}
-
-let build_setup cfg =
-  if cfg.clients < 1 then invalid_arg "Traffic: clients must be >= 1";
-  if cfg.servers < 2 || cfg.servers > 8 then
-    invalid_arg "Traffic: servers must be in 2..8";
-  let cluster = Cluster.create () in
-  Session.set_concurrent (Cluster.session cluster) true;
-  let strategy =
-    Interp.strategy_table.(Gen.concurrent_strategies.(abs cfg.seed
-                                                      mod Array.length
-                                                           Gen
-                                                           .concurrent_strategies))
-  in
-  let grounds =
-    Array.init cfg.clients (fun c ->
-        Cluster.add_node cluster ~site:(c + 1) ~strategy ())
-  in
-  let servers =
-    List.init cfg.servers (fun s ->
-        Cluster.add_node cluster
-          ~site:(cfg.clients + 1 + s)
-          ~arch:Interp.arch_table.(s mod Array.length Interp.arch_table)
-          ~strategy ())
-  in
-  Srpc_workloads.Linked_list.register_types cluster;
-  Srpc_workloads.Tree.register_types cluster;
-  Srpc_workloads.Graph.register_types cluster;
-  Srpc_workloads.Matrix.register_types cluster;
-  Array.iter (fun g -> Interp.register_procs ~ground:g servers) grounds;
-  let trace = Trace.create () in
-  Transport.set_trace (Cluster.transport cluster) (Some trace);
-  let adm = Admission.create ~policy:cfg.policy (Cluster.stats cluster) in
-  { su_cluster = cluster; su_grounds = grounds; su_servers = servers;
-    su_adm = adm; su_trace = trace }
-
-(* Each client sees the server pool rotated by its own index, so load
-   spreads without any client-to-server affinity logic. *)
-let rotated_servers setup ~client ~count =
-  let servers = setup.su_servers in
-  let n = List.length servers in
-  let rec take k = function
-    | _ when k = 0 -> []
-    | [] -> []
-    | x :: tl -> x :: take (k - 1) tl
-  in
-  let rot = List.init n (fun i -> List.nth servers ((i + client) mod n)) in
-  take (min count n) rot
-
-let finish_result setup ~sessions ~committed ~aborted ~makespan ~latencies =
-  let snap = Cluster.snapshot setup.su_cluster in
-  let lat = Array.of_list latencies in
-  Array.sort compare lat;
-  let errors ds = List.length (List.filter Diagnostic.is_error ds) in
+let finish_result setup (t : Driver.tally) =
+  let snap = Cluster.snapshot setup.Driver.cluster in
+  let r_p50, r_p95, r_p99 = Driver.percentiles t.latencies in
+  let r_race_errors, r_proto_errors = Driver.lint_errors setup in
   {
-    r_sessions = sessions;
-    r_committed = committed;
-    r_aborted = aborted;
-    r_makespan = makespan;
-    r_throughput =
-      (if makespan > 0.0 then float_of_int committed /. makespan else 0.0);
-    r_p50 = percentile lat 0.50;
-    r_p95 = percentile lat 0.95;
-    r_p99 = percentile lat 0.99;
+    r_sessions = t.sessions;
+    r_committed = t.committed;
+    r_aborted = t.aborts;
+    r_makespan = t.makespan;
+    r_throughput = Driver.throughput t;
+    r_p50;
+    r_p95;
+    r_p99;
     r_admitted = snap.Stats.sessions_admitted;
     r_queued = snap.Stats.sessions_queued;
     r_denied = snap.Stats.sessions_aborted;
     r_retried = snap.Stats.sessions_retried;
     r_validation_failed = snap.Stats.validations_failed;
-    r_race_errors = errors (Race_lint.check setup.su_trace);
-    r_proto_errors = errors (Proto_lint.check setup.su_trace);
+    r_race_errors;
+    r_proto_errors;
   }
 
-type cstate = Idle | Backoff | Running | Parked | Done
+exception Stuck = Driver.Stuck
 
-type current = {
-  mutable cur_id : int;
-  cur_env : Interp.env;
-  cur_arrival : float;
-  mutable cur_rops : Script.rop list;
-  mutable cur_attempt : int;
-}
-
-type client = {
-  cl_idx : int;
-  cl_ground : Node.t;
-  cl_fp : Footprint.t;
-  mutable cl_time : float;
-  mutable cl_state : cstate;
-  mutable cl_jobs : job list;
-  mutable cl_current : current option;
-}
-
-exception Stuck
-
-(* The open-loop concurrent run. *)
 let run cfg =
-  let setup = build_setup cfg in
-  let cluster = setup.su_cluster in
-  let committed = ref 0 and aborted = ref 0 and latencies = ref [] in
-  let clients =
-    Array.mapi
-      (fun c ground ->
-        {
-          cl_idx = c;
-          cl_ground = ground;
-          cl_fp = job_footprint cfg ~client:c;
-          cl_time = 0.0;
-          cl_state = Idle;
-          cl_jobs = gen_jobs cfg ~client:c;
-          cl_current = None;
-        })
-      setup.su_grounds
-  in
-  let find_by_sid sid =
-    let hit = ref None in
-    Array.iter
-      (fun cl ->
-        match cl.cl_current with
-        | Some cur when cur.cur_id = sid -> hit := Some cl
-        | _ -> ())
-      clients;
-    match !hit with
-    | Some cl -> cl
-    | None -> invalid_arg "Traffic: drain admitted an unknown session"
-  in
-  (* A drained waiter resumes no earlier than the close that unblocked
-     it: its logical clock jumps to the closer's. *)
-  let start_waiters ~closer waiters =
-    List.iter
-      (fun (sid, _fp) ->
-        let cl = find_by_sid sid in
-        Node.start_admitted cl.cl_ground ~id:sid;
-        cl.cl_time <- Float.max cl.cl_time closer.cl_time;
-        cl.cl_state <- Running)
-      waiters
-  in
-  let request cl cur =
-    match
-      Node.request_admission cl.cl_ground setup.su_adm ~id:cur.cur_id
-        ~footprint:cl.cl_fp
-    with
-    | Admission.Admitted -> cl.cl_state <- Running
-    | Admission.Queued -> cl.cl_state <- Parked
-    | Admission.Denied ->
-      cur.cur_attempt <- cur.cur_attempt + 1;
-      cl.cl_time <-
-        cl.cl_time
-        +. Admission.backoff_delay ~session:cur.cur_id
-             ~attempt:cur.cur_attempt ~base:1e-4;
-      cl.cl_state <- Backoff
-    | Admission.Overloaded _ ->
-      (* unreachable: the open-loop harness installs no queue cap,
-         retry budget or health detector (the soak harness does) *)
-      invalid_arg "Traffic: unexpected admission shed"
-  in
-  let finish_session cl =
-    cl.cl_current <- None;
-    cl.cl_jobs <- List.tl cl.cl_jobs;
-    cl.cl_state <- Idle
-  in
-  let timed cl f =
-    let t0 = Cluster.now cluster in
-    let r = f () in
-    cl.cl_time <- cl.cl_time +. (Cluster.now cluster -. t0);
-    r
-  in
-  let step cl =
-    match cl.cl_state with
-    | Done | Parked -> ()
-    | Idle -> (
-      match cl.cl_jobs with
-      | [] -> cl.cl_state <- Done
-      | job :: _ ->
-        cl.cl_time <- Float.max cl.cl_time job.j_arrival;
-        let cur =
-          {
-            cur_id = Node.reserve_session cl.cl_ground;
-            cur_env =
-              Interp.make_env ~cluster ~ground:cl.cl_ground
-                ~workers:
-                  (rotated_servers setup ~client:cl.cl_idx
-                     ~count:job.j_plan.Script.p_workers);
-            cur_arrival = cl.cl_time;
-            cur_rops = job.j_plan.Script.p_rops;
-            cur_attempt = 0;
-          }
-        in
-        cl.cl_current <- Some cur;
-        request cl cur)
-    | Backoff ->
-      let cur = Option.get cl.cl_current in
-      request cl cur
-    | Running -> (
-      let cur = Option.get cl.cl_current in
-      match cur.cur_rops with
-      | rop :: rest -> (
-        cur.cur_rops <- rest;
-        try timed cl (fun () -> ignore (Interp.exec_rop cur.cur_env rop))
-        with Session.Session_aborted _ ->
-          incr aborted;
-          start_waiters ~closer:cl
-            (Admission.close ~committed:false setup.su_adm
-               ~session:cur.cur_id);
-          finish_session cl)
-      | [] -> (
-        match
-          timed cl (fun () -> Node.end_session_validated cl.cl_ground setup.su_adm)
-        with
-        | `Committed, waiters ->
-          incr committed;
-          latencies := (cl.cl_time -. cur.cur_arrival) :: !latencies;
-          start_waiters ~closer:cl waiters;
-          finish_session cl
-        | `Validation_failed, waiters ->
-          start_waiters ~closer:cl waiters;
-          if cur.cur_attempt >= 50 then begin
-            incr aborted;
-            finish_session cl
-          end
-          else begin
-            (* fresh reserved id: the aborted attempt's id stays burnt,
-               keeping the trace's id space unambiguous *)
-            cur.cur_id <- Node.reserve_session cl.cl_ground;
-            cur.cur_attempt <- cur.cur_attempt + 1;
-            cur.cur_rops <- (List.hd cl.cl_jobs).j_plan.Script.p_rops;
-            Hashtbl.reset cur.cur_env.Interp.e_objs;
-            request cl cur
-          end
-        | exception Session.Session_aborted _ ->
-          incr aborted;
-          start_waiters ~closer:cl
-            (Admission.close ~committed:false setup.su_adm
-               ~session:cur.cur_id);
-          finish_session cl))
-  in
-  let total_jobs = cfg.clients * cfg.sessions_per_client in
-  let fuel = ref ((total_jobs * (cfg.depth + 16) * 8) + 256) in
-  let runnable () =
-    let best = ref None in
-    Array.iter
-      (fun cl ->
-        match cl.cl_state with
-        | Done | Parked -> ()
-        | _ -> (
-          match !best with
-          | Some b when b.cl_time <= cl.cl_time -> ()
-          | _ -> best := Some cl))
-      clients;
-    !best
-  in
-  let all_done () =
-    Array.for_all (fun cl -> cl.cl_state = Done) clients
-  in
-  while not (all_done ()) do
-    decr fuel;
-    if !fuel < 0 then raise Stuck;
-    match runnable () with
-    | Some cl -> step cl
-    | None -> raise Stuck (* every live client parked: admission deadlock *)
-  done;
-  let makespan =
-    Array.fold_left (fun acc cl -> Float.max acc cl.cl_time) 0.0 clients
-  in
-  finish_result setup ~sessions:total_jobs ~committed:!committed
-    ~aborted:!aborted ~makespan ~latencies:!latencies
+  let spec, setup, adm = build cfg in
+  finish_result setup
+    (Driver.run spec setup adm ~fuel:(fun sessions ->
+         (sessions * (cfg.depth + 16) * 8) + 256))
 
 (* The serialized baseline: the same jobs, replayed one session at a
    time on ONE accumulated timeline — what the paper's one-session
    cluster would do with this offered load. *)
 let run_serialized cfg =
-  let setup = build_setup cfg in
-  let cluster = setup.su_cluster in
+  let spec, setup, adm = build cfg in
+  let cluster = setup.Driver.cluster in
   let jobs =
     List.concat
       (List.init cfg.clients (fun c ->
-           List.map (fun j -> (c, j)) (gen_jobs cfg ~client:c)))
+           List.map (fun j -> (c, j)) (Driver.jobs spec ~client:c)))
     |> List.stable_sort (fun (_, a) (_, b) ->
-           compare a.j_arrival b.j_arrival)
+           compare a.Driver.j_arrival b.Driver.j_arrival)
   in
   let tl = ref 0.0 in
   let committed = ref 0 and aborted = ref 0 and latencies = ref [] in
   List.iter
-    (fun (c, job) ->
-      tl := Float.max !tl job.j_arrival;
+    (fun (c, { Driver.j_arrival; j_plan }) ->
+      tl := Float.max !tl j_arrival;
       let arrival = !tl in
-      let ground = setup.su_grounds.(c) in
+      let ground = setup.Driver.grounds.(c) in
       let env =
         Interp.make_env ~cluster ~ground
           ~workers:
-            (rotated_servers setup ~client:c
-               ~count:job.j_plan.Script.p_workers)
+            (Driver.rotated_servers setup ~client:c
+               ~count:j_plan.Script.p_workers)
       in
       let id = Node.reserve_session ground in
       match
-        Node.request_admission ground setup.su_adm ~id
-          ~footprint:(job_footprint cfg ~client:c)
+        Node.request_admission ground adm ~id
+          ~footprint:(Driver.footprint spec ~client:c)
       with
       | Admission.Queued | Admission.Denied | Admission.Overloaded _ ->
         (* nothing else is open on the serial timeline *)
@@ -431,8 +152,8 @@ let run_serialized cfg =
         let t0 = Cluster.now cluster in
         match
           List.iter (fun rop -> ignore (Interp.exec_rop env rop))
-            job.j_plan.Script.p_rops;
-          Node.end_session_validated ground setup.su_adm
+            j_plan.Script.p_rops;
+          Node.end_session_validated ground adm
         with
         | `Committed, _ ->
           tl := !tl +. (Cluster.now cluster -. t0);
@@ -442,13 +163,18 @@ let run_serialized cfg =
         | exception Session.Session_aborted _ ->
           tl := !tl +. (Cluster.now cluster -. t0);
           incr aborted;
-          ignore
-            (Admission.close ~committed:false setup.su_adm ~session:id)))
+          ignore (Admission.close ~committed:false adm ~session:id)))
     jobs;
   finish_result setup
-    ~sessions:(cfg.clients * cfg.sessions_per_client)
-    ~committed:!committed ~aborted:!aborted ~makespan:!tl
-    ~latencies:!latencies
+    {
+      Driver.sessions = List.length jobs;
+      committed = !committed;
+      failed = 0;
+      aborts = !aborted;
+      recovered = 0;
+      makespan = !tl;
+      latencies = !latencies;
+    }
 
 type comparison = {
   concurrent : result;

@@ -21,7 +21,11 @@
     Session bodies come from [Gen.session_script] and execute through
     [Interp.exec_rop] — the model checker's interpreter — so traffic
     can never drift from checked op semantics. [Race_lint] and
-    [Proto_lint] run over the full trace as standing oracles. *)
+    [Proto_lint] run over the full trace as standing oracles.
+
+    {!run} and {!Soak.run} drive one shared client state machine; the
+    table in docs/TRAFFIC.md ("One scheduler, two harnesses") lists
+    what each harness adds to it. *)
 
 open Srpc_core
 open Srpc_check
@@ -32,10 +36,15 @@ open Srpc_check
     abort-retry, per policy). *)
 type contention = Disjoint | Hot
 
+(** ["disjoint"] or ["hot"]: the name every report and CLI uses. *)
+val contention_name : contention -> string
+
 type config = {
   clients : int;  (** client (per-session ground) nodes, >= 1 *)
   servers : int;  (** server (worker) nodes, 2..8 *)
-  rate : float;  (** session arrivals per virtual second, per client *)
+  rate : float;
+      (** session arrivals per virtual second, per client; positive and
+          finite *)
   mix : Script.kind list;  (** workload kinds cycled across sessions *)
   sessions_per_client : int;
   depth : int;  (** ops per session script *)
@@ -68,7 +77,8 @@ type result = {
 
 (** [run cfg] drives the full open-loop traffic run and returns its
     aggregate result. Deterministic in [cfg].
-    @raise Stuck if the scheduler stops making progress. *)
+    @raise Stuck if the scheduler stops making progress.
+    @raise Invalid_argument on a config outside the ranges above. *)
 val run : config -> result
 
 (** [run_serialized cfg] replays the same session population strictly
@@ -113,4 +123,6 @@ val run_counter :
   unit ->
   counter_outcome
 
+(** The open-loop scheduler ran out of fuel or every live client is
+    parked (admission deadlock). {!Soak.Stuck} is the same exception. *)
 exception Stuck

@@ -439,12 +439,11 @@ let traffic_failures rows =
         Printf.printf fmt
       in
       let label =
+        let contention = T.contention_name cfg.T.contention in
         match cfg.T.contention with
-        | T.Disjoint -> Printf.sprintf "disjoint seed %d" seed
-        | T.Hot -> (
-          match cfg.T.policy with
-          | Srpc_core.Strategy.Queue_conflicts -> "hot/queue"
-          | Srpc_core.Strategy.Abort_retry -> "hot/abort-retry")
+        | T.Disjoint -> Printf.sprintf "%s seed %d" contention seed
+        | T.Hot ->
+          contention ^ "/" ^ Srpc_core.Strategy.admission_name cfg.T.policy
       in
       Printf.printf
         "traffic %-16s %2d/%2d committed  x%.2f serialized  races %d  \

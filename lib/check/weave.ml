@@ -397,9 +397,7 @@ let check ?(progress = fun _ -> ()) ~seeds ~depth ~faults () =
     failures = List.rev !failures;
   }
 
-let pp_policy ppf = function
-  | Strategy.Queue_conflicts -> Format.pp_print_string ppf "queue"
-  | Strategy.Abort_retry -> Format.pp_print_string ppf "abort-retry"
+let pp_policy ppf p = Format.pp_print_string ppf (Strategy.admission_name p)
 
 let pp_failure ppf f =
   Format.fprintf ppf

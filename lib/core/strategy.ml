@@ -53,6 +53,10 @@ let fully_lazy =
     offload = Offload_never;
   }
 
+let admission_name = function
+  | Queue_conflicts -> "queue"
+  | Abort_retry -> "abort-retry"
+
 let pp ppf t =
   let budget ppf = function
     | Unbounded -> Format.pp_print_string ppf "inf"
@@ -66,10 +70,6 @@ let pp ppf t =
   in
   let order = function Breadth_first -> "bfs" | Depth_first -> "dfs" in
   let grain = function Page_grain -> "page" | Twin_diff -> "twin-diff" in
-  let admission = function
-    | Queue_conflicts -> "queue"
-    | Abort_retry -> "abort-retry"
-  in
   (* The suffix is elided at [Offload_never] so every pre-offload
      strategy renders byte-identically (trace fingerprints). *)
   let offload = function
@@ -81,7 +81,7 @@ let pp ppf t =
     "{closure=%a;group=%s;order=%s;grain=%s;batch=%b;delta=%b;adm=%s%s}" budget
     t.budget (grouping t.grouping) (order t.order) (grain t.grain)
     t.batch_remote_ops t.delta_coherency
-    (admission t.admission) (offload t.offload)
+    (admission_name t.admission) (offload t.offload)
 
 let budget_allows t ~total ~extra =
   match t.budget with

@@ -37,6 +37,9 @@ type admission_policy =
       (** deny admission outright; the caller backs off (capped
           exponential, virtual time) and retries *)
 
+(** ["queue"] or ["abort-retry"]: the name every report and CLI uses. *)
+val admission_name : admission_policy -> string
+
 (** The third per-call-site transfer mode (beside eager closure and lazy
     faulting): ship the traversal to the data instead of the data to the
     traversal (see docs/OFFLOAD.md). Consulted by [Node.offload]. *)

@@ -22,12 +22,8 @@ let row ~label ~(cfg : Soak.config) (cmp : Soak.comparison) =
     \     \"queued\": %d, \"retried\": %d, \"validation_failed\": %d,\n\
     \     \"race_errors\": %d, \"proto_errors\": %d}"
     label cfg.Soak.seed
-    (match cfg.Soak.contention with
-    | Traffic.Disjoint -> "disjoint"
-    | Traffic.Hot -> "hot")
-    (match cfg.Soak.policy with
-    | Srpc_core.Strategy.Queue_conflicts -> "queue"
-    | Srpc_core.Strategy.Abort_retry -> "abort-retry")
+    (Traffic.contention_name cfg.Soak.contention)
+    (Srpc_core.Strategy.admission_name cfg.Soak.policy)
     cfg.Soak.horizon cfg.Soak.drop cfg.Soak.dup cfg.Soak.crash_period
     cfg.Soak.outage c.Soak.s_sessions c.Soak.s_committed c.Soak.s_failed
     c.Soak.s_aborts c.Soak.s_recovered c.Soak.s_completion c.Soak.s_makespan

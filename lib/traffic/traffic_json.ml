@@ -16,12 +16,8 @@ let row ~seed ~(cfg : Traffic.config) (cmp : Traffic.comparison) =
     \     \"validation_failed\": %d, \"race_errors\": %d, \
      \"proto_errors\": %d}"
     seed
-    (match cfg.Traffic.contention with
-    | Traffic.Disjoint -> "disjoint"
-    | Traffic.Hot -> "hot")
-    (match cfg.Traffic.policy with
-    | Srpc_core.Strategy.Queue_conflicts -> "queue"
-    | Srpc_core.Strategy.Abort_retry -> "abort-retry")
+    (Traffic.contention_name cfg.Traffic.contention)
+    (Srpc_core.Strategy.admission_name cfg.Traffic.policy)
     c.Traffic.r_sessions c.Traffic.r_committed c.Traffic.r_aborted
     c.Traffic.r_makespan c.Traffic.r_throughput
     cmp.Traffic.serialized.Traffic.r_throughput cmp.Traffic.speedup

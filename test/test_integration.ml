@@ -384,6 +384,62 @@ let test_two_sequential_sessions () =
       ignore (Node.call a ~dst:(Node.id b) "bump" [ Access.to_value p ]));
   Alcotest.(check int) "both sessions applied" 3 (Access.get_int a p ~field:"data")
 
+(* The traveling modified data set after a write: a 64-node update
+   through a depth-10 tree, then 8 noop RPCs. Returns the noop's
+   (write-back items, wire bytes) before the write and each noop's
+   after it. *)
+let noops_around_update ~delta =
+  let strategy = Strategy.smart ~delta () in
+  let cluster = Cluster.create ~cost:Cost_model.zero () in
+  let a = Cluster.add_node cluster ~site:1 ~strategy () in
+  let b = Cluster.add_node cluster ~site:2 ~strategy () in
+  Srpc_workloads.Tree.register_types cluster;
+  let root = Srpc_workloads.Tree.build a ~depth:10 in
+  let nodes = List.init 64 (fun k -> Srpc_workloads.Tree.nth_preorder a root (k * 16)) in
+  let before = List.map (fun p -> Access.get_int a p ~field:"data") nodes in
+  Node.register b "update" (fun node args ->
+      List.iter
+        (fun v ->
+          let p = Access.of_value v in
+          Access.set_int node p ~field:"data" (Access.get_int node p ~field:"data" + 1))
+        args;
+      []);
+  Node.register b "noop" (fun _ _ -> []);
+  let call proc args =
+    let s0 = Cluster.snapshot cluster in
+    ignore (Node.call a ~dst:(Node.id b) proc args);
+    let d = Stats.diff (Cluster.snapshot cluster) s0 in
+    (d.Stats.writebacks, d.Stats.bytes)
+  in
+  Node.begin_session a;
+  let pre = call "noop" [] in
+  ignore (call "update" (List.map Access.to_value nodes));
+  let post = List.init 8 (fun _ -> call "noop" []) in
+  Node.end_session a;
+  Alcotest.(check (list int)) "updates reached the home"
+    (List.map succ before)
+    (List.map (fun p -> Access.get_int a p ~field:"data") nodes);
+  (pre, post)
+
+let test_delta_noops_ship_nothing_held () =
+  let (_, pre_bytes), post = noops_around_update ~delta:true in
+  List.iteri
+    (fun i (items, bytes) ->
+      Alcotest.(check int) (Printf.sprintf "noop %d write-back items" i) 0 items;
+      if bytes > 2 * pre_bytes then
+        Alcotest.failf "noop %d after the write: %d B, more than 2x the %d B before it"
+          i bytes pre_bytes)
+    post
+
+(* Paper mode re-ships the modified data set on every transfer; these
+   are the bytes it has always shipped. *)
+let test_full_noops_unchanged () =
+  let pre, post = noops_around_update ~delta:false in
+  Alcotest.(check (pair int int)) "noop before the write" (0, 44) pre;
+  Alcotest.(check (list (pair int int))) "noops after the write"
+    (List.init 8 (fun _ -> (512, 30316)))
+    post
+
 (* --- remote allocation / release --- *)
 
 let test_extended_malloc_remote_home () =
@@ -1045,6 +1101,10 @@ let () =
           tc "session end invalidates caches" `Quick
             test_session_end_invalidates_callee_cache;
           tc "two sequential sessions" `Quick test_two_sequential_sessions;
+          tc "delta noops after a write ship nothing held" `Quick
+            test_delta_noops_ship_nothing_held;
+          tc "full-encoding noops after a write unchanged" `Quick
+            test_full_noops_unchanged;
         ] );
       ( "remote-heap",
         [

@@ -38,10 +38,3 @@ let purge t ~owner =
 let reset t =
   Hashtbl.reset t.rows;
   Hashtbl.reset t.owner
-
-let holders t =
-  Hashtbl.fold
-    (fun addr row acc ->
-      (addr, Space_id.Table.fold (fun peer _ peers -> peer :: peers) row [])
-      :: acc)
-    t.rows []

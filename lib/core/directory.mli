@@ -27,6 +27,3 @@ val remove : t -> int -> unit
 val purge : t -> owner:int -> unit
 
 val reset : t -> unit
-
-(** [(home address, caching spaces)] per datum, in unspecified order. *)
-val holders : t -> (int * Space_id.t list) list

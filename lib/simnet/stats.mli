@@ -32,7 +32,8 @@ type snapshot = {
           deltas), the delta-coherency win's denominator *)
   delta_bytes_saved : int;
       (** wire bytes the delta encoding avoided versus shipping the
-          full item for the same entries *)
+          full item for the same entries; an item not shipped because
+          the receiver already held its bytes counts in full *)
   full_fallbacks : int;
       (** delta-eligible entries shipped full anyway: stale or missing
           shadow, or the delta would not have been smaller *)
